@@ -175,21 +175,14 @@ class ProblemDerivatives:
         return W
 
     def eval_rows(self, trees, X: np.ndarray, W: np.ndarray) -> np.ndarray:
-        """Evaluate a list of trees over the batch; returns (len(trees), N)."""
+        """Evaluate a list of trees over the batch; returns (len(trees), N).
+
+        X is (n, N) and W is (d, N): each point carries its own parameter.
+        """
         out = np.empty((len(trees), X.shape[1]))
         for i, t in enumerate(trees):
             out[i] = ex.eval_array(t, X, W)
         return out
-
-    def f0_grad_x_batch(self, X: np.ndarray, w) -> np.ndarray:
-        """grad_x f0 over a batch; X is (n, N), w is (d,); returns (n, N)."""
-        return self.eval_rows(self.f0x, X, self.param_rows(w, X.shape[1]))
-
-    def F_grad_x_batch(self, X: np.ndarray, w) -> np.ndarray:
-        return self.eval_rows(self.Fx, X, self.param_rows(w, X.shape[1]))
-
-    def F_batch(self, X: np.ndarray, w) -> np.ndarray:
-        return self.eval_rows([self.spec.F], X, self.param_rows(w, X.shape[1]))[0]
 
     def hess_rows(self, trees, X: np.ndarray, W: np.ndarray) -> np.ndarray:
         """Evaluate an n x n tree table over the batch; returns (N, n, n)."""
@@ -199,12 +192,6 @@ class ProblemDerivatives:
             for j in range(n):
                 H[:, i, j] = ex.eval_array(trees[i][j], X, W)
         return H
-
-    def f0_hess_x_batch(self, X: np.ndarray, w) -> np.ndarray:
-        return self.hess_rows(self.f0xx, X, self.param_rows(w, X.shape[1]))
-
-    def F_hess_x_batch(self, X: np.ndarray, w) -> np.ndarray:
-        return self.hess_rows(self.Fxx, X, self.param_rows(w, X.shape[1]))
 
 
 @lru_cache(maxsize=64)

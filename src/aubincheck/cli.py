@@ -5,7 +5,8 @@ Subcommands: analyze (three-valued Lipschitz-like verdict), membership
 derivatives (derivative bundle dump with optional finite-difference audit).
 
 Exit codes: 0 analysis completed (including an Unknown verdict or an
-Inconclusive probe); 2 input or parse error; 3 precondition failure at the
+Inconclusive probe); 2 input or parse error, including an expression nested
+too deeply to process; 3 precondition failure at the
 reference point (infeasible, not stationary, MFCQ violated, out of domain);
 4 dimensions exceed the probe capability.
 """
@@ -243,6 +244,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except InputError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except RecursionError:
+        # The expression trees are processed recursively, so only an input
+        # nested too deeply reaches the interpreter's recursion limit.
+        print("error: InputError: an expression is nested too deeply to process", file=sys.stderr)
         return EXIT_INPUT
     except (PreconditionError, DomainError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

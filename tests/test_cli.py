@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
@@ -6,7 +7,7 @@ import pathlib
 import pytest
 
 from aubincheck.cli import main
-from conftest import FIXTURE_NAMES, fixture_path
+from conftest import FIXTURE_NAMES, PROBEABLE, fixture_path
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -157,6 +158,22 @@ class TestErrorPaths:
         code, _ = run_cli(["analyze", "/nonexistent/file.prob"])
         assert code == 2
 
+    def test_deep_expression_is_input_error(self, tmp_path, capsys):
+        # A 1000-term sum nests 1000 deep; the recursive tree code reaches the
+        # recursion limit.  The structural fix (an iterative expression DAG)
+        # is ROADMAP item 3; until then the CLI reports an input error.
+        terms = " + ".join(f"{i + 1}*x1^2" for i in range(1000))
+        p = tmp_path / "deep.prob"
+        p.write_text(
+            f'[problem]\nn = 1\nd = 1\nf0 = "{terms}"\nF = "x1 - 1"\n\n'
+            "[point]\nx = [0]\nw = [0]\n"
+        )
+        code, _ = run_cli(["analyze", str(p)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_probe_capability_bound(self, tmp_path):
         p = tmp_path / "n3.prob"
         p.write_text(
@@ -254,6 +271,23 @@ class TestProbeCommand:
         a = run_cli(["probe", fixture_path("halfline_bilinear"), "--json"])
         b = run_cli(["probe", fixture_path("halfline_bilinear"), "--json"])
         assert a == b
+
+    # sha256 of `probe --csv`: the rows follow the order in which the probe
+    # first requests each stationary set, so a reordering shows here.
+    CSV_SHA256 = {
+        "quartic_cuberoot": "d24fcf9446604df27b0342aabc3e7e032aa606f08b344c4ffa8f2f9623afb8a8",
+        "moving_plane": "b6edc7e5800dd761c4eb7c558d52063b2b5dbae7e81c9b357abc6ba428b1f84a",
+    }
+
+    @pytest.mark.parametrize("name", PROBEABLE)
+    def test_json_matches_golden(self, name, tmp_path):
+        csv_path = tmp_path / "samples.csv"
+        code, out = run_cli(["probe", fixture_path(name), "--json", "--csv", str(csv_path)])
+        assert code == 0
+        assert out == (GOLDEN_DIR / f"{name}_probe.json").read_text()
+        if name in self.CSV_SHA256:
+            digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+            assert digest == self.CSV_SHA256[name]
 
 
 class TestDerivativesCommand:

@@ -1,10 +1,14 @@
+import dataclasses
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
-from aubincheck.calculus import EvalPoint, ToleranceConfig
+from aubincheck import oracle
+from aubincheck.calculus import EvalPoint, ToleranceConfig, problem_derivatives
 from aubincheck.errors import DimensionMismatch, GridTooCoarse
 from aubincheck.expr import ProblemSpec, parse
 from aubincheck.oracle import (
@@ -114,6 +118,76 @@ class TestSampleStationarySet:
         spec = ProblemSpec(3, 1, parse("x1^2+x2^2+x3^2", 3, 1), parse("x1 - 1", 3, 1))
         with pytest.raises(DimensionMismatch):
             sample_stationary_set(spec, [0.0], GridSpec(), TOL)
+
+
+class TestBatchedSampling:
+    """Sampling many parameters at once equals sampling each alone."""
+
+    def _check(self, pf, ws):
+        x, _ = pf.point.arrays()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GridTooCoarse)
+            alone = [sample_stationary_set(pf.spec, w, pf.grid, TOL, center=x) for w in ws]
+            batch = oracle._sample_sets(
+                problem_derivatives(pf.spec), [np.asarray(w, dtype=float) for w in ws], x, pf.grid, TOL
+            )
+        assert len(batch) == len(alone)
+        for a, b in zip(alone, batch):
+            assert a.w == b.w
+            assert np.array_equal(a.points, b.points)
+            assert np.array_equal(a.residuals, b.residuals)
+            assert np.array_equal(a.lambdas, b.lambdas)
+            assert a.branches == b.branches
+            assert a.warnings == b.warnings
+        return alone
+
+    def test_seeds_exceed_one_batch(self, problems):
+        # w > 0 leaves the box without stationary points and 101 seeds each,
+        # w = 0 is the sampled half-line, w < 0 a single point.  Together the
+        # seeds span several Newton batches.
+        ws = [[0.05]] + [[0.01 * k] for k in range(-3, 17)]
+        sets = self._check(problems["halfline_bilinear"], ws)
+        assert sets[0].is_empty
+        seeds = sum(
+            int(m.group(1))
+            for s in sets
+            for msg in s.warnings
+            for m in [re.search(r"diverged for \d+/(\d+) seeds", msg)]
+            if m
+        )
+        assert seeds > oracle._CHUNK_ROWS
+
+    @pytest.mark.parametrize("chunk", [7, oracle._CHUNK_ROWS])
+    @pytest.mark.parametrize(
+        "name, ws",
+        [
+            ("circle_boundary", [[1.0], [0.93], [1.07], [0.5]]),
+            ("cubic_pitchfork", [[0.0], [0.05], [-0.02]]),
+            ("moving_plane", [[0.0], [0.01], [-0.03]]),
+        ],
+    )
+    def test_sets_share_chunks(self, problems, monkeypatch, name, ws, chunk):
+        monkeypatch.setattr(oracle, "_CHUNK_ROWS", chunk)
+        self._check(problems[name], ws)
+
+    @pytest.mark.parametrize("chunk", [7, oracle._CHUNK_ROWS])
+    def test_polish_batch_equals_each_pair(self, problems, monkeypatch, chunk):
+        # The probe polishes all (base, perturbed) pairs of a level together,
+        # each row at its own base parameter.
+        monkeypatch.setattr(oracle, "_CHUNK_ROWS", chunk)
+        pf = problems["quartic_cuberoot"]
+        x, _ = pf.point.arrays()
+        polish_grid = dataclasses.replace(pf.grid, newton_cap=10)
+        polisher = oracle._Refiner(problem_derivatives(pf.spec), polish_grid, TOL, x)
+        sets = [
+            sample_stationary_set(pf.spec, [w], pf.grid, TOL, center=x)
+            for w in (0.0, 0.001, -0.002, 0.004, -0.0005)
+        ]
+        queries = [(p.points, b) for p in sets for b in sets if p is not b]
+        batch = oracle._set_distances(queries, polisher, pf.grid)
+        assert len(batch) == len(queries)
+        for q, dists in zip(queries, batch):
+            assert np.array_equal(oracle._set_distances([q], polisher, pf.grid)[0], dists)
 
 
 class TestAubinProbe:
