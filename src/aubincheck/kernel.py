@@ -54,11 +54,6 @@ class SubspaceBasis:
     def is_trivial(self) -> bool:
         return self.dim == 0
 
-    def contains_point(self, z: np.ndarray, tol: float = 1e-9) -> bool:
-        z = np.asarray(z, dtype=float)
-        proj = self.basis @ (self.basis.T @ z)
-        return float(np.linalg.norm(z - proj)) <= tol * (1.0 + float(np.linalg.norm(z)))
-
 
 def _canonicalize_columns(B: np.ndarray) -> np.ndarray:
     """Flip column signs so the largest-magnitude entry of each is positive."""

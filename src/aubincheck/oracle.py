@@ -16,6 +16,15 @@ batches, each row at its own parameter.  Likewise the distance polish of
 all the level's (base, perturbed) pairs runs as one batch.  Rows never
 interact, so the results are those of sampling and polishing one set or
 pair at a time.
+
+The refiner does only work that can change a result.  Its line search
+evaluates the full step for every row and, for the rows it does not
+improve enough, all ten halvings in one batch; each row keeps the halving
+a one-at-a-time backtracking loop would stop at.  Each row's residual is
+carried from the evaluation that accepted its iterate.  On the interior
+branch, a component of grad_x f0 without x bounds the residual below at
+every iterate, so rows where it exceeds the acceptance bar are returned
+unconverged without a step.  The report is unchanged by all three.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from .calculus import (
     problem_derivatives,
 )
 from .errors import DimensionMismatch, GridTooCoarse
-from .expr import ProblemSpec
+from .expr import ProblemSpec, max_indices
 
 __all__ = [
     "GridSpec",
@@ -226,6 +235,9 @@ class _Refiner:
         self.tol = tol
         self.center = center
         self.n = derivs.spec.n
+        # Components of grad_x f0 free of x: each is a lower bound, fixed by
+        # the row's w, on the interior residual ||grad_x f0|| of every iterate.
+        self.x_free = [t for t in derivs.f0x if max_indices(t)[0] == 0]
 
     def _residual(self, Zc: np.ndarray, W: np.ndarray, branch: str):
         """Branch system values over a (k, m) subset; returns (G, ||G||)."""
@@ -260,14 +272,48 @@ class _Refiner:
 
     def run(self, seeds: np.ndarray, W: np.ndarray, branch: str):
         """Refine seeds (N, n) at parameters W (d, N); returns (points,
-        lambdas, converged_mask)."""
-        parts = [
-            self._run(seeds[s : s + _CHUNK_ROWS], W[:, s : s + _CHUNK_ROWS], branch)
-            for s in range(0, seeds.shape[0], _CHUNK_ROWS)
-        ]
-        if not parts:
-            return np.empty((0, self.n)), np.empty(0), np.zeros(0, dtype=bool)
-        return tuple(np.concatenate(p) for p in zip(*parts))
+        lambdas, converged_mask).
+
+        On the interior branch, rows where an x-free component of grad_x f0
+        exceeds the acceptance bar cannot converge; they are returned as
+        seeds, unconverged, without a Newton step.  The factor 2 covers the
+        rounding of the norm, and the negated test also drops NaN.
+        """
+        N = seeds.shape[0]
+        points, lams, conv = seeds.copy(), np.zeros(N), np.zeros(N, dtype=bool)
+        live = np.arange(N)
+        if branch == "interior" and self.x_free:
+            bar = 2.0 * max(self.grid.tau_newton, ACCEPT_RESIDUAL)
+            g = self.derivs.eval_rows(self.x_free, seeds.T, W)
+            live = np.flatnonzero(np.all(np.abs(g) <= bar, axis=0))
+        for s in range(0, live.size, _CHUNK_ROWS):
+            rows = live[s : s + _CHUNK_ROWS]
+            points[rows], lams[rows], conv[rows] = self._run(seeds[rows], W[:, rows], branch)
+        return points, lams, conv
+
+    def _line_search(self, Za: np.ndarray, Wa: np.ndarray, step: np.ndarray, base: np.ndarray, branch: str):
+        """Armijo backtracking on the residual norm in at most two evaluations.
+
+        Every row tries the full step.  Rows it does not decrease enough get
+        all ten halvings evaluated at once and keep the first of halvings
+        1..9 that passes, else the tenth: the alpha, candidate and residual
+        of halving one at a time.  Returns (alpha, cand, G, ||G||).
+        """
+        alpha = np.ones(Za.shape[0])
+        cand = Za + step
+        G, rn = self._residual(cand, Wa, branch)
+        worse = np.flatnonzero(rn > (1.0 - 1e-4) * base)
+        if worse.size:
+            halves = np.ldexp(1.0, -np.arange(1, 11))
+            m = Za.shape[1]
+            tries = (Za[worse, None, :] + halves[None, :, None] * step[worse, None, :]).reshape(-1, m)
+            Gt, rt = self._residual(tries, np.repeat(Wa[:, worse], 10, axis=1), branch)
+            ok = ~(rt.reshape(-1, 10)[:, :9] > (1.0 - 1e-4 * halves[:9]) * base[worse, None])
+            pick = np.where(np.any(ok, axis=1), np.argmax(ok, axis=1), 9)
+            sel = 10 * np.arange(worse.size) + pick
+            alpha[worse] = halves[pick]
+            cand[worse], G[worse], rn[worse] = tries[sel], Gt[sel], rt[sel]
+        return alpha, cand, G, rn
 
     def _run(self, seeds: np.ndarray, W: np.ndarray, branch: str):
         N = seeds.shape[0]
@@ -286,38 +332,31 @@ class _Refiner:
         settled = np.zeros(N, dtype=bool)
         kill_radius = 1.5 * self.grid.r_x
 
-        _, rnorm = self._residual(Z, W, branch)
+        # G and its norm at each row's iterate, carried from the evaluation
+        # that accepted it.
+        G, rnorm = self._residual(Z, W, branch)
         for _ in range(self.grid.newton_cap):
             # Iterate to stall, not to an absolute bar: very flat residual
             # landscapes need machine-level resolution to locate the root.
             active = np.flatnonzero(~settled & (rnorm > 0.0))
             if active.size == 0:
                 break
-            Za, Wa = Z[active], W[:, active]
-            Ga, base = self._residual(Za, Wa, branch)
+            Za, Wa, base = Z[active], W[:, active], rnorm[active]
             J = self._jacobian(Za, Wa, branch)
-            step = _pinv_step(J, Ga)
-
-            # Vectorized backtracking on the residual norm, subset only.
-            alpha = np.ones(active.size)
-            cand = Za + alpha[:, None] * step
-            _, rn_new = self._residual(cand, Wa, branch)
-            for _ in range(10):
-                worse = rn_new > (1.0 - 1e-4 * alpha) * base
-                if not np.any(worse):
-                    break
-                alpha[worse] *= 0.5
-                cand[worse] = Za[worse] + alpha[worse, None] * step[worse]
-                _, rn_w = self._residual(cand[worse], Wa[:, worse], branch)
-                rn_new[worse] = rn_w
+            # The einsum in _pinv_step sums in an order set by G's memory
+            # layout, and the step's last bit with it: keep the Fortran order
+            # that _residual returns.
+            step = _pinv_step(J, np.asfortranarray(G[active]))
+            alpha, cand, Gc, rn_new = self._line_search(Za, Wa, step, base, branch)
 
             stalled = (rn_new >= base * (1.0 - 1e-12)) | (
                 np.linalg.norm(alpha[:, None] * step, axis=1)
                 <= 1e-15 * (1.0 + np.linalg.norm(Za, axis=1))
             )
-            moved = ~stalled
-            Z[active[moved]] = cand[moved]
-            rnorm[active[moved]] = rn_new[moved]
+            moved = active[~stalled]
+            Z[moved] = cand[~stalled]
+            G[moved] = Gc[~stalled]
+            rnorm[moved] = rn_new[~stalled]
             settled[active[stalled]] = True
             escaped = (
                 np.max(np.abs(Z[active][:, : self.n] - self.center[None, :]), axis=1)
@@ -359,18 +398,16 @@ def _local_minima(res: np.ndarray, n: int, m: int) -> np.ndarray:
 
 
 def _with_neighbors(idx: np.ndarray, n: int, m: int) -> np.ndarray:
-    if idx.size == 0:
-        return idx
-    if n == 1:
-        out = np.concatenate([idx, idx - 1, idx + 1])
-        return np.unique(out[(out >= 0) & (out < m)])
-    rows, cols = idx // m, idx % m
-    parts = [idx]
-    for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        r, c = rows + dr, cols + dc
-        keep = (r >= 0) & (r < m) & (c >= 0) & (c < m)
-        parts.append(r[keep] * m + c[keep])
-    return np.unique(np.concatenate(parts))
+    """Sorted grid indices of idx and of their axis neighbors."""
+    hit = np.zeros((m,) * n, dtype=bool)
+    hit.reshape(-1)[idx] = True
+    out = hit.copy()
+    for ax in range(n):
+        lo = tuple(slice(None, -1) if i == ax else slice(None) for i in range(n))
+        hi = tuple(slice(1, None) if i == ax else slice(None) for i in range(n))
+        out[lo] |= hit[hi]
+        out[hi] |= hit[lo]
+    return np.flatnonzero(out)
 
 
 def sample_stationary_set(

@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import json
 import math
+import pathlib
 import re
 import warnings
 
@@ -10,7 +12,7 @@ import pytest
 from aubincheck import oracle
 from aubincheck.calculus import EvalPoint, ToleranceConfig, problem_derivatives
 from aubincheck.errors import DimensionMismatch, GridTooCoarse
-from aubincheck.expr import ProblemSpec, parse
+from aubincheck.expr import ProblemSpec, max_indices, parse
 from aubincheck.oracle import (
     ACCEPT_RESIDUAL,
     GridSpec,
@@ -20,8 +22,47 @@ from aubincheck.oracle import (
     sample_stationary_set,
     write_samples_csv,
 )
+from conftest import PROBEABLE
 
 TOL = ToleranceConfig()
+
+NEWTON_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "newton_steps.json"
+
+
+def x_free_gradient(spec: ProblemSpec) -> bool:
+    """Whether some component of grad_x f0 does not depend on x."""
+    return any(max_indices(t)[0] == 0 for t in problem_derivatives(spec).f0x)
+
+
+def record_newton_steps(monkeypatch, n: int) -> dict:
+    """Count and hash every Newton step, per branch, from now on.
+
+    Wraps ``oracle._pinv_step``; the branch follows from the Jacobian, n x n
+    on the interior and (n + 1) x (n + 1) on the boundary.  The hash runs
+    over the C-order bytes of J, G and the step of each call, so a step that
+    differs in its last bit shows.
+    """
+    log = {b: {"calls": 0, "rows": 0, "hash": hashlib.sha256()} for b in ("interior", "boundary")}
+    step_fn = oracle._pinv_step
+
+    def recording(J, G):
+        step = step_fn(J, G)
+        entry = log["interior" if J.shape[-1] == n else "boundary"]
+        entry["calls"] += 1
+        entry["rows"] += J.shape[0]
+        for a in (J, G, step):
+            entry["hash"].update(a.tobytes())
+        return step
+
+    monkeypatch.setattr(oracle, "_pinv_step", recording)
+    return log
+
+
+def newton_digests(log: dict) -> dict:
+    return {
+        b: {"calls": e["calls"], "rows": e["rows"], "sha256": e["hash"].hexdigest()}
+        for b, e in log.items()
+    }
 
 
 class TestKktResidual:
@@ -188,6 +229,52 @@ class TestBatchedSampling:
         assert len(batch) == len(queries)
         for q, dists in zip(queries, batch):
             assert np.array_equal(oracle._set_distances([q], polisher, pf.grid)[0], dists)
+
+
+class TestNewtonPath:
+    """The Newton steps of each fixture probe, pinned by count and hash."""
+
+    @pytest.mark.parametrize("name", PROBEABLE)
+    def test_steps_match_golden(self, problems, monkeypatch, name):
+        pf = problems[name]
+        log = record_newton_steps(monkeypatch, pf.spec.n)
+        aubin_probe(pf.spec, pf.point, pf.probe, pf.grid, pf.tolerances)
+        got = newton_digests(log)
+        want = json.loads(NEWTON_GOLDEN.read_text())[name]
+        assert got["boundary"] == want["boundary"]
+        if x_free_gradient(pf.spec):
+            # The interior prune drops rows that cannot converge, and with
+            # them their steps; it never adds one.
+            assert got["interior"]["calls"] <= want["interior"]["calls"]
+            assert got["interior"]["rows"] <= want["interior"]["rows"]
+        else:
+            assert got["interior"] == want["interior"]
+
+
+class TestInteriorPrune:
+    """Rows whose x-free gradient component exceeds the bar are not refined."""
+
+    def test_prune_is_exact(self, monkeypatch):
+        # The same problem twice: grad_x f0 is w1 in both, but the second
+        # tree mentions x, so nothing is pruned there.
+        x_free = ProblemSpec(1, 1, parse("x1*w1", 1, 1), parse("x1", 1, 1))
+        with_x = ProblemSpec(1, 1, parse("x1*w1 + (x1 - x1)^2", 1, 1), parse("x1", 1, 1))
+        assert x_free_gradient(x_free) and not x_free_gradient(with_x)
+        log = record_newton_steps(monkeypatch, 1)
+        for w in (0.0, 0.05, -0.05):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", GridTooCoarse)
+                before = log["interior"]["calls"]
+                a = sample_stationary_set(x_free, [w], GridSpec(), TOL)
+                interior_calls = log["interior"]["calls"] - before
+                b = sample_stationary_set(with_x, [w], GridSpec(), TOL)
+            assert np.array_equal(a.points, b.points)
+            assert np.array_equal(a.residuals, b.residuals)
+            assert np.array_equal(a.lambdas, b.lambdas)
+            assert a.branches == b.branches
+            assert a.warnings == b.warnings
+            if w != 0.0:
+                assert interior_calls == 0
 
 
 class TestAubinProbe:
