@@ -24,7 +24,6 @@ from .conditions import (
     check_interior,
     check_nondegenerate,
     coderivative_membership,
-    extended_map_verdict,
     gamma_systems,
     verdict,
 )

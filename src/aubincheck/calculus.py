@@ -42,6 +42,10 @@ __all__ = [
 ]
 
 
+def _finite_positive(value) -> bool:
+    return bool(np.isfinite(value) and value > 0.0)
+
+
 @dataclass(frozen=True, slots=True)
 class ToleranceConfig:
     """Numerical thresholds used across the analysis.
@@ -61,8 +65,8 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for name in ("tau_act", "tau_zero", "tau_stat", "tau_rank", "tau_col"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not _finite_positive(getattr(self, name)):
+                raise ValueError(f"{name} must be finite and strictly positive")
 
     def as_dict(self) -> dict:
         return {

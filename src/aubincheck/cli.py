@@ -14,13 +14,12 @@ reference point (infeasible, not stationary, MFCQ violated, out of domain);
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import math
 import sys
 
 from .calculus import derivative_bundle
 from .conditions import MODE_EXTENDED, MODE_STRICT, coderivative_membership, verdict
 from .errors import DomainError, InputError, PreconditionError
-from .fixtures import match_fixture
 from .oracle import aubin_probe, write_samples_csv
 from .problemfile import ProblemFile, load_problem
 from .report import (
@@ -51,14 +50,36 @@ def _parse_overrides(pairs) -> dict:
 
 
 def _parse_vector(text: str, name: str) -> list:
+    message = f"--{name} must be a comma-separated list of finite reals"
     try:
-        return [float(tok) for tok in text.split(",")]
+        values = [float(tok) for tok in text.split(",")]
     except ValueError:
-        raise InputError(f"--{name} must be a comma-separated list of reals") from None
+        raise InputError(message) from None
+    if not all(map(math.isfinite, values)):
+        raise InputError(message)
+    return values
+
+
+# probe flags and the [probe] keys they override
+_PROBE_FLAGS = (
+    ("box_radius", "r_x"),
+    ("grid_points", "points_per_axis"),
+    ("delta0", "delta0"),
+    ("samples", "samples"),
+    ("seed", "seed"),
+    ("levels", "levels"),
+)
 
 
 def _load(args) -> ProblemFile:
-    return load_problem(args.file, _parse_overrides(getattr(args, "tol_overrides", None)))
+    probe_overrides = {
+        key: getattr(args, flag)
+        for flag, key in _PROBE_FLAGS
+        if getattr(args, flag, None) is not None
+    }
+    return load_problem(
+        args.file, _parse_overrides(getattr(args, "tol_overrides", None)), probe_overrides
+    )
 
 
 def _emit(args, doc, text_renderer=render_text) -> None:
@@ -68,19 +89,10 @@ def _emit(args, doc, text_renderer=render_text) -> None:
         sys.stdout.write(text_renderer(doc))
 
 
-def _fixture_warnings(pf: ProblemFile) -> list:
-    fixture = match_fixture(pf.spec, pf.point)
-    return list(fixture.notes) if fixture is not None else []
-
-
 def cmd_analyze(args) -> int:
     pf = _load(args)
-    bundle = derivative_bundle(pf.spec, pf.point)
     v = verdict(pf.spec, pf.point, pf.tolerances, args.mode)
-    doc = analysis_document(
-        "analyze", pf, pf.tolerances, bundle, v, extra_warnings=_fixture_warnings(pf)
-    )
-    _emit(args, doc)
+    _emit(args, analysis_document("analyze", pf, v))
     return EXIT_OK
 
 
@@ -93,10 +105,8 @@ def cmd_membership(args) -> int:
             f"query dimensions ({len(xprime)}, {len(wprime)}) do not match the "
             f"problem ({pf.spec.n}, {pf.spec.d})"
         )
-    bundle = derivative_bundle(pf.spec, pf.point)
     v = verdict(pf.spec, pf.point, pf.tolerances, args.mode)
-    lam = v.multiplier.lam if v.multiplier is not None else 0.0
-    result = coderivative_membership(bundle, v.case, lam, xprime, wprime, pf.tolerances)
+    result = coderivative_membership(v, xprime, wprime, pf.tolerances)
     entry = {
         "x_prime": xprime,
         "w_prime": wprime,
@@ -106,16 +116,7 @@ def cmd_membership(args) -> int:
         "branch": result.branch,
         "notes": list(result.notes),
     }
-    doc = analysis_document(
-        "membership",
-        pf,
-        pf.tolerances,
-        bundle,
-        v,
-        extra_warnings=_fixture_warnings(pf),
-        membership=[entry],
-    )
-    _emit(args, doc)
+    _emit(args, analysis_document("membership", pf, v, membership=[entry]))
     return EXIT_OK
 
 
@@ -128,37 +129,13 @@ def cmd_probe(args) -> int:
             file=sys.stderr,
         )
         return EXIT_CAPABILITY
-    grid, probe_cfg = pf.grid, pf.probe
-    if args.box_radius is not None:
-        grid = dataclasses.replace(grid, r_x=args.box_radius)
-    if args.grid_points is not None:
-        grid = dataclasses.replace(grid, points_per_axis=args.grid_points)
-    for field_name, value in (
-        ("delta0", args.delta0),
-        ("samples", args.samples),
-        ("seed", args.seed),
-        ("levels", args.levels),
-    ):
-        if value is not None:
-            probe_cfg = dataclasses.replace(probe_cfg, **{field_name: value})
-
-    bundle = derivative_bundle(pf.spec, pf.point)
     v = verdict(pf.spec, pf.point, pf.tolerances, MODE_EXTENDED)
     report = aubin_probe(
-        pf.spec, pf.point, probe_cfg, grid, pf.tolerances, keep_samples=args.csv is not None
+        pf.spec, pf.point, pf.probe, pf.grid, pf.tolerances, keep_samples=args.csv is not None
     )
     if args.csv is not None:
         write_samples_csv(report.samples, args.csv, pf.spec.n, pf.spec.d)
-    doc = analysis_document(
-        "probe",
-        pf,
-        pf.tolerances,
-        bundle,
-        v,
-        extra_warnings=_fixture_warnings(pf),
-        probe=report,
-    )
-    _emit(args, doc)
+    _emit(args, analysis_document("probe", pf, v, probe=report))
     return EXIT_OK
 
 
@@ -170,7 +147,7 @@ def cmd_derivatives(args) -> int:
         from .calculus import finite_difference_audit
 
         audit = finite_difference_audit(pf.spec, pf.point, args.fd_audit)
-    doc = derivatives_document(pf, pf.tolerances, bundle, audit)
+    doc = derivatives_document(pf, bundle, audit)
     _emit(args, doc, render_derivatives_text)
     return EXIT_OK
 

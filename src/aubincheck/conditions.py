@@ -9,11 +9,25 @@ Condition identifiers follow a fixed catalogue:
 
 with the structural implications C3_5 <=> C3_2 and C3_4,
 C4_8 => C4_4 and C4_6, C4_13 => C4_14.
+
+Membership reads one table per case (``gamma_systems``): the inner
+estimate's branches, the outer estimate's branches, and the regularity
+condition under which the outer estimate is valid:
+
+  case           inner       outer                                 regularity
+  interior       Gamma1      -                                     C3_2
+  nondegenerate  Gamma2      -                                     C4_4
+  degenerate     Gamma1_hat  Gamma3_tangential, Gamma3_ascent,     C4_10
+                             Gamma3_descent
+
+In the first two cases the single branch is exact, so it is the inner one
+and the outer estimate adds nothing.  The regularity condition is read from
+the verdict's report, not recomputed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +46,7 @@ from .calculus import (
     lagrange_multiplier,
     verify_stationarity,
 )
-from .errors import NotStationary
+from .errors import DimensionMismatch, NotStationary
 from .expr import ProblemSpec
 from .kernel import (
     NONNEG,
@@ -59,7 +73,6 @@ __all__ = [
     "check_nondegenerate",
     "check_degenerate",
     "verdict",
-    "extended_map_verdict",
     "gamma_systems",
     "coderivative_membership",
     "CONDITION_ORDER",
@@ -119,6 +132,7 @@ class Verdict:
     lipschitz_like: str
     theorem_applied: str | None
     mode: str
+    bundle: DerivativeBundle = field(compare=False)  # == compares the decision only
     warnings: tuple = ()
 
     def condition(self, cid: str) -> ConditionReport:
@@ -253,15 +267,6 @@ def check_degenerate(
     return [c4_10, c4_11a, c4_11b, c4_12, c4_13, c4_14]
 
 
-def extended_map_verdict(b: DerivativeBundle, tol: ToleranceConfig = ToleranceConfig()) -> bool:
-    """Lipschitz-likeness of the canonically extended map at an interior point.
-
-    For interior reference pairs this is equivalent to ker Hxx = {0}, which is
-    both necessary and sufficient for the extended map.
-    """
-    return null_space(b.Hxx, tol).is_trivial
-
-
 # ---------------------------------------------------------------------------
 # Verdict synthesis
 # ---------------------------------------------------------------------------
@@ -329,7 +334,7 @@ def verdict(
             )
         reports = check_interior(b, tol)
         answer, theorem = _interior_verdict(reports)
-        return Verdict(tag, None, tuple(reports), answer, theorem, mode, tuple(warnings))
+        return Verdict(tag, None, tuple(reports), answer, theorem, mode, b, tuple(warnings))
 
     minfo = lagrange_multiplier(b, tol)
     if tag.borderline_lambda:
@@ -342,14 +347,16 @@ def verdict(
         mats = assemble_matrices(b, tag, minfo.lam)
         reports = check_nondegenerate(mats, b.gxF, tol)
         answer, theorem = _nondegenerate_verdict(reports, mode)
-        return Verdict(tag, minfo, tuple(reports), answer, theorem, mode, tuple(warnings))
+        return Verdict(tag, minfo, tuple(reports), answer, theorem, mode, b, tuple(warnings))
 
     deg_mats = assemble_matrices(b, tag, 0.0)
     deg_reports = check_degenerate(deg_mats, b.Hxx, b.Hwx, b.gxF, tol)
     deg_answer, deg_theorem = _degenerate_verdict(deg_reports)
 
     if not tag.borderline_lambda:
-        return Verdict(tag, minfo, tuple(deg_reports), deg_answer, deg_theorem, mode, tuple(warnings))
+        return Verdict(
+            tag, minfo, tuple(deg_reports), deg_answer, deg_theorem, mode, b, tuple(warnings)
+        )
 
     # Borderline multiplier: evaluate the nondegenerate branch as well and
     # take the meet of the two verdicts (No dominates, Yes requires both).
@@ -366,7 +373,7 @@ def verdict(
         theorem = f"{nd_theorem}+{deg_theorem}"
     else:
         answer, theorem = UNKNOWN, None
-    return Verdict(tag, minfo, reports, answer, theorem, mode, tuple(warnings))
+    return Verdict(tag, minfo, reports, answer, theorem, mode, b, tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +390,6 @@ class GammaBranch:
     """
 
     name: str
-    role: str  # "exact" | "inner" | "outer"
     M: np.ndarray
     rhs_layout: tuple
     constraints: tuple
@@ -403,8 +409,12 @@ class GammaBranch:
 
 @dataclass(frozen=True)
 class GammaSetDescription:
+    """One case's table: inner branches, outer branches, regularity condition."""
+
     case: str
-    branches: tuple
+    inner: tuple
+    outer: tuple
+    regularity: str
 
 
 def gamma_systems(b: DerivativeBundle, tag: CaseTag, lam: float) -> GammaSetDescription:
@@ -412,10 +422,8 @@ def gamma_systems(b: DerivativeBundle, tag: CaseTag, lam: float) -> GammaSetDesc
     n, d = b.n, b.d
     if tag.is_interior:
         M = np.vstack([b.Hxx, b.Hwx])
-        branch = GammaBranch(
-            "Gamma1", "exact", M, (("x", n), ("w", d)), (), has_gamma=False
-        )
-        return GammaSetDescription("interior", (branch,))
+        branch = GammaBranch("Gamma1", M, (("x", n), ("w", d)), (), has_gamma=False)
+        return GammaSetDescription("interior", (branch,), (), "C3_2")
 
     gxF_lift = np.concatenate([b.gxF, [0.0]])
     gamma_coord = np.zeros(n + 1)
@@ -425,15 +433,14 @@ def gamma_systems(b: DerivativeBundle, tag: CaseTag, lam: float) -> GammaSetDesc
         mats = assemble_matrices(b, tag, lam)
         M = np.vstack([mats.A1, _gxF_row(b.gxF), mats.A2])
         branch = GammaBranch(
-            "Gamma2", "exact", M, (("x", n), ("zero", 1), ("w", d)), (), has_gamma=True
+            "Gamma2", M, (("x", n), ("zero", 1), ("w", d)), (), has_gamma=True
         )
-        return GammaSetDescription("nondegenerate", (branch,))
+        return GammaSetDescription("nondegenerate", (branch,), (), "C4_4")
 
     mats = assemble_matrices(b, tag, 0.0)
     pair = np.vstack([mats.A1, mats.A2])
     inner = GammaBranch(
         "Gamma1_hat",
-        "inner",
         pair,
         (("x", n), ("w", d)),
         (ConeConstraint(gxF_lift, NONNEG), ConeConstraint(gamma_coord, NONNEG)),
@@ -441,7 +448,6 @@ def gamma_systems(b: DerivativeBundle, tag: CaseTag, lam: float) -> GammaSetDesc
     )
     outer_eq = GammaBranch(
         "Gamma3_tangential",
-        "outer",
         np.vstack([mats.A1, _gxF_row(b.gxF), mats.A2]),
         (("x", n), ("zero", 1), ("w", d)),
         (),
@@ -449,7 +455,6 @@ def gamma_systems(b: DerivativeBundle, tag: CaseTag, lam: float) -> GammaSetDesc
     )
     outer_wedge = GammaBranch(
         "Gamma3_ascent",
-        "outer",
         pair,
         (("x", n), ("w", d)),
         (ConeConstraint(gxF_lift, STRICT_POSITIVE), ConeConstraint(gamma_coord, NONNEG)),
@@ -457,14 +462,13 @@ def gamma_systems(b: DerivativeBundle, tag: CaseTag, lam: float) -> GammaSetDesc
     )
     outer_descent = GammaBranch(
         "Gamma3_descent",
-        "outer",
         np.vstack([b.Hxx, b.Hwx]),
         (("x", n), ("w", d)),
         (ConeConstraint(b.gxF, STRICT_NEGATIVE),),
         has_gamma=False,
     )
     return GammaSetDescription(
-        "degenerate", (inner, outer_eq, outer_wedge, outer_descent)
+        "degenerate", (inner,), (outer_eq, outer_wedge, outer_descent), "C4_10"
     )
 
 
@@ -484,74 +488,45 @@ def _witness_from(z: np.ndarray, branch: GammaBranch, n: int) -> tuple:
 
 
 def coderivative_membership(
-    b: DerivativeBundle,
-    tag: CaseTag,
-    lam: float,
-    xprime,
-    wprime,
-    tol: ToleranceConfig = ToleranceConfig(),
+    v: Verdict, xprime, wprime, tol: ToleranceConfig = ToleranceConfig()
 ) -> MembershipResult:
     """Decide whether w' belongs to the coderivative value at x'.
 
-    In is certified by the unconditional inner estimate of the relevant case;
-    Out requires the matching regularity condition (C3_2 interior, C4_4
-    nondegenerate, C4_10 degenerate) so the outer estimate is valid.  When
-    that condition fails and the inner test does not certify In, the answer
-    is downgraded to Unknown.
+    In is certified by the unconditional inner estimate of the case; Out
+    requires the case's regularity condition (C3_2 interior, C4_4
+    nondegenerate, C4_10 degenerate), read from the verdict, so the outer
+    estimate is valid.  When that condition fails and the inner test does not
+    certify In, the answer is downgraded to Unknown.  ``tol`` drives the
+    feasibility tests; the regularity condition was decided by ``verdict``
+    under its own tolerances.
     """
+    b = v.bundle
     xprime = np.asarray(xprime, dtype=float).ravel()
     wprime = np.asarray(wprime, dtype=float).ravel()
     if xprime.shape[0] != b.n or wprime.shape[0] != b.d:
-        from .errors import DimensionMismatch
-
         raise DimensionMismatch(
             f"query has dimensions ({xprime.shape[0]}, {wprime.shape[0]}), "
             f"problem expects ({b.n}, {b.d})"
         )
-    desc = gamma_systems(b, tag, lam)
-    notes: list[str] = []
+    lam = v.multiplier.lam if v.multiplier is not None else 0.0
+    desc = gamma_systems(b, v.case, lam)
 
-    if desc.case == "interior":
-        branch = desc.branches[0]
-        feas = affine_feasibility(branch.M, branch.rhs(xprime, wprime), branch.constraints, tol)
-        if feas.feasible:
-            v, g = _witness_from(feas.witness, branch, b.n)
-            return MembershipResult("In", v, g, branch.name)
-        exact = stacked_kernel([b.Hxx, b.Hwx], tol).is_trivial
-        if exact:
-            return MembershipResult("Out")
-        notes.append("exactness unavailable: C3_2 fails, outer estimate not certified")
-        return MembershipResult("Unknown", notes=tuple(notes))
+    def solve(branch):
+        return affine_feasibility(branch.M, branch.rhs(xprime, wprime), branch.constraints, tol)
 
-    if desc.case == "nondegenerate":
-        branch = desc.branches[0]
-        feas = affine_feasibility(branch.M, branch.rhs(xprime, wprime), branch.constraints, tol)
+    for branch in desc.inner:
+        feas = solve(branch)
         if feas.feasible:
-            v, g = _witness_from(feas.witness, branch, b.n)
-            return MembershipResult("In", v, g, branch.name)
-        mats = assemble_matrices(b, tag, lam)
-        c4_4 = stacked_kernel([mats.A1, mats.A2, _gxF_row(b.gxF)], tol).is_trivial
-        if c4_4:
-            return MembershipResult("Out")
-        notes.append("exactness unavailable: C4_4 fails, outer estimate not certified")
-        return MembershipResult("Unknown", notes=tuple(notes))
-
-    inner = desc.branches[0]
-    feas = affine_feasibility(inner.M, inner.rhs(xprime, wprime), inner.constraints, tol)
-    if feas.feasible:
-        v, g = _witness_from(feas.witness, inner, b.n)
-        return MembershipResult("In", v, g, inner.name)
-    mats = assemble_matrices(b, tag, 0.0)
-    c4_10 = stacked_kernel([mats.A1, mats.A2], tol).is_trivial
-    if not c4_10:
-        notes.append("exactness unavailable: C4_10 fails, outer estimate not certified")
-        return MembershipResult("Unknown", notes=tuple(notes))
-    for branch in desc.branches[1:]:
-        feas = affine_feasibility(branch.M, branch.rhs(xprime, wprime), branch.constraints, tol)
-        if feas.feasible:
-            notes.append(
+            witness_v, gamma = _witness_from(feas.witness, branch, b.n)
+            return MembershipResult("In", witness_v, gamma, branch.name)
+    if not v.condition(desc.regularity).holds:
+        note = f"exactness unavailable: {desc.regularity} fails, outer estimate not certified"
+        return MembershipResult("Unknown", notes=(note,))
+    for branch in desc.outer:
+        if solve(branch).feasible:
+            note = (
                 f"inside the outer estimate (branch {branch.name}) but not certified "
                 "by the inner one"
             )
-            return MembershipResult("Unknown", notes=tuple(notes))
+            return MembershipResult("Unknown", notes=(note,))
     return MembershipResult("Out")

@@ -1,39 +1,19 @@
-"""Registry of the problem fixtures shipped in-repo.
+"""The one in-repo fixture whose reports carry a note.
 
-Each entry pins a problem, its reference point, and any consistency notes
-that the report should surface when the analyzed problem matches a
-registered fixture (structural expression equality plus point equality).
+The `product_constraint` fixture admits two readings of the same data, and
+its reports say which one they follow.  The note is attached when the
+analyzed problem is structurally equal to that fixture: equal expression
+trees and the same reference point.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .calculus import EvalPoint
 from .expr import ProblemSpec, parse
 
-__all__ = ["RegisteredFixture", "REGISTERED_FIXTURES", "PRODUCT_CONSTRAINT_ALT", "match_fixture"]
-
-
-@dataclass(frozen=True)
-class RegisteredFixture:
-    name: str
-    n: int
-    d: int
-    f0: str
-    F: str
-    x: tuple
-    w: tuple
-    notes: tuple = ()
-
-    def spec(self) -> ProblemSpec:
-        return ProblemSpec(self.n, self.d, parse(self.f0, self.n, self.d), parse(self.F, self.n, self.d))
-
-    def point(self) -> EvalPoint:
-        return EvalPoint(self.x, self.w)
-
+__all__ = ["fixture_notes"]
 
 _PRODUCT_NOTE = (
     "registered fixture 'product-constraint': direct differentiation at the reference "
@@ -44,119 +24,15 @@ _PRODUCT_NOTE = (
     "follows the recomputed multiplier."
 )
 
-REGISTERED_FIXTURES = (
-    RegisteredFixture(
-        "trust-region",
-        2,
-        6,
-        "0.5*(w1*x1^2 + 2*w2*x1*x2 + w3*x2^2) + w4*x1 + w5*x2",
-        "x1^2 + x2^2 - w6^2",
-        (0.0, 0.0),
-        (1.0, 0.0, -1.0, 0.0, 0.0, 1.0),
-    ),
-    RegisteredFixture(
-        "bilinear-ball",
-        2,
-        2,
-        "x1*w1 + x2*w2",
-        "(1 - w1^2)*x1^2 + (1 - w2^2)*x2^2 - 1",
-        (0.0, 0.0),
-        (0.0, 0.0),
-    ),
-    RegisteredFixture(
-        "cubic-pitchfork",
-        1,
-        1,
-        "x1^3/3 - w1^2*x1",
-        "x1^2 + w1^2 - 1",
-        (0.0,),
-        (0.0,),
-    ),
-    RegisteredFixture(
-        "quartic-cuberoot",
-        1,
-        1,
-        "0.25*x1^4 - w1^2*x1",
-        "x1 - w1 - 1",
-        (0.0,),
-        (0.0,),
-    ),
-    RegisteredFixture(
-        "circle-boundary",
-        1,
-        1,
-        "-x1^2 + (w1 - 1)*x1",
-        "x1^2 + w1^2 - 2",
-        (1.0,),
-        (1.0,),
-    ),
-    RegisteredFixture(
-        "moving-plane",
-        2,
-        1,
-        "0.25*w1*x1^4 - w1*x1 - x2",
-        "w1*x1 + x2 - w1",
-        (0.0, 0.0),
-        (0.0,),
-    ),
-    RegisteredFixture(
-        "product-constraint",
-        1,
-        1,
-        "x1^2*(w1 - 2)",
-        "w1*(x1 - 1)",
-        (1.0,),
-        (1.0,),
-        notes=(_PRODUCT_NOTE,),
-    ),
-    RegisteredFixture(
-        "halfline-quadratic",
-        1,
-        1,
-        "x1^2",
-        "x1 + w1",
-        (0.0,),
-        (0.0,),
-    ),
-    RegisteredFixture(
-        "halfline-bilinear",
-        1,
-        1,
-        "x1*w1",
-        "x1",
-        (0.0,),
-        (0.0,),
-    ),
-)
-
-# The alternative degenerate reading of the product-constraint fixture,
-# preserved as raw matrices for the condition checkers.
-PRODUCT_CONSTRAINT_ALT = {
-    "name": "product-constraint-alt",
-    "A1_deg": ((-4.0, 1.0),),
-    "A2_deg": ((2.0, 0.0),),
-    "gxF": (1.0,),
-    "note": (
-        "matrix fixture 'product-constraint-alt' encodes the degenerate reading of "
-        "'product-constraint' (multiplier treated as zero); its matrices fail "
-        "condition C4_11b, contradicting the nondegenerate analysis of the same data"
-    ),
-}
+_PRODUCT_SPEC = ProblemSpec(1, 1, parse("x1^2*(w1 - 2)", 1, 1), parse("w1*(x1 - 1)", 1, 1))
+_PRODUCT_POINT = EvalPoint((1.0,), (1.0,))
 
 
-def match_fixture(spec: ProblemSpec, point: EvalPoint) -> RegisteredFixture | None:
-    """Registered fixture structurally equal to (spec, point), if any."""
-    for fixture in REGISTERED_FIXTURES:
-        if fixture.n != spec.n or fixture.d != spec.d:
-            continue
-        try:
-            fspec = fixture.spec()
-        except Exception:  # registry entries are trusted, but stay safe
-            continue
-        if fspec.f0 != spec.f0 or fspec.F != spec.F:
-            continue
-        fx, fw = np.array(fixture.x), np.array(fixture.w)
-        px, pw = point.arrays()
-        if np.allclose(fx, px, atol=1e-12, rtol=0.0) and np.allclose(fw, pw, atol=1e-12, rtol=0.0):
-            return fixture
-    return None
+def fixture_notes(spec: ProblemSpec, point: EvalPoint) -> tuple:
+    """The notes of the fixture structurally equal to (spec, point), if any."""
+    if (spec.n, spec.d) != (1, 1) or spec.f0 != _PRODUCT_SPEC.f0 or spec.F != _PRODUCT_SPEC.F:
+        return ()
+    (px, pw), (fx, fw) = point.arrays(), _PRODUCT_POINT.arrays()
+    if np.allclose(px, fx, atol=1e-12, rtol=0.0) and np.allclose(pw, fw, atol=1e-12, rtol=0.0):
+        return (_PRODUCT_NOTE,)
+    return ()

@@ -41,6 +41,7 @@ from .calculus import (
     EvalPoint,
     ProblemDerivatives,
     ToleranceConfig,
+    _finite_positive,
     problem_derivatives,
 )
 from .errors import DimensionMismatch, GridTooCoarse
@@ -85,13 +86,13 @@ class GridSpec:
     tau_newton: float = 1e-12
 
     def __post_init__(self):
-        if self.r_x <= 0.0:
-            raise ValueError("box radius r_x must be positive")
+        if not _finite_positive(self.r_x):
+            raise ValueError("box radius r_x must be finite and positive")
         if self.points_per_axis is not None:
             m = self.points_per_axis
             if m < 3 or m % 2 == 0:
                 raise ValueError("points_per_axis must be odd and >= 3")
-        if self.newton_cap < 1 or self.tau_newton <= 0.0:
+        if self.newton_cap < 1 or not _finite_positive(self.tau_newton):
             raise ValueError("invalid Newton controls")
 
     def resolve_points(self, n: int) -> int:
@@ -125,12 +126,12 @@ class ProbeConfig:
     seed: int = 20260810
 
     def __post_init__(self):
-        if min(self.delta0, self.growth, self.blowup, self.ratio_floor) <= 0.0:
-            raise ValueError("probe thresholds must be positive")
+        if not all(map(_finite_positive, (self.delta0, self.growth, self.blowup, self.ratio_floor))):
+            raise ValueError("probe thresholds must be finite and positive")
         if self.levels < 2 or self.samples < 8:
             raise ValueError("need at least 2 levels and 8 samples per level")
-        if self.rho_u is not None and self.rho_u <= 0.0:
-            raise ValueError("locality radius must be positive")
+        if self.rho_u is not None and not _finite_positive(self.rho_u):
+            raise ValueError("locality radius must be finite and positive")
 
 
 @dataclass

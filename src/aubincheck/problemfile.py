@@ -71,8 +71,11 @@ def _number(raw: str, key: str):
         raise InputError(f"could not parse {key!r}: {exc}") from None
 
 
-def load_problem(path: str, tol_overrides: dict | None = None) -> ProblemFile:
-    """Load and validate a problem file; optional CLI tolerance overrides win."""
+def load_problem(
+    path: str, tol_overrides: dict | None = None, probe_overrides: dict | None = None
+) -> ProblemFile:
+    """Load and validate a problem file; optional CLI tolerance and [probe]
+    overrides win over the file's values."""
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str  # keys are case-sensitive
     try:
@@ -135,15 +138,16 @@ def load_problem(path: str, tol_overrides: dict | None = None) -> ProblemFile:
     except ValueError as exc:
         raise InputError(str(exc)) from None
 
-    grid_kwargs = {}
-    probe_kwargs = {}
+    probe_values = {}
     if "probe" in cp:
         for key in cp["probe"]:
-            value = _number(cp["probe"][key], key)
-            if key in _GRID_KEYS:
-                grid_kwargs[key] = value
-            else:
-                probe_kwargs[key] = value
+            probe_values[key] = _number(cp["probe"][key], key)
+    for key, value in (probe_overrides or {}).items():
+        if key not in allowed["probe"]:
+            raise InputError(f"unknown probe setting {key!r}")
+        probe_values[key] = value
+    grid_kwargs = {k: v for k, v in probe_values.items() if k in _GRID_KEYS}
+    probe_kwargs = {k: v for k, v in probe_values.items() if k not in _GRID_KEYS}
     try:
         grid = GridSpec(**grid_kwargs)
         probe = ProbeConfig(**probe_kwargs)

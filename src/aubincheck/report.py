@@ -7,8 +7,9 @@ import json
 
 import numpy as np
 
-from .calculus import DerivativeBundle, ToleranceConfig
+from .calculus import DerivativeBundle
 from .conditions import Verdict
+from .fixtures import fixture_notes
 from .problemfile import ProblemFile
 
 __all__ = [
@@ -41,26 +42,20 @@ def _problem_echo(pf: ProblemFile) -> dict:
 
 
 def analysis_document(
-    command: str,
-    pf: ProblemFile,
-    tol: ToleranceConfig,
-    bundle: DerivativeBundle,
-    verdict: Verdict,
-    extra_warnings=(),
-    membership=None,
-    probe=None,
+    command: str, pf: ProblemFile, verdict: Verdict, membership=None, probe=None
 ) -> dict:
+    """The report of one command; a fixture's note joins the verdict's warnings."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "problem": _problem_echo(pf),
         "point": {"x": list(pf.point.x), "w": list(pf.point.w)},
-        "tolerances": tol.as_dict(),
+        "tolerances": pf.tolerances.as_dict(),
         "case": {
             "tag": verdict.case.kind,
             "subtag": verdict.case.subtag,
             "borderline_lambda": verdict.case.borderline_lambda,
-            "F_value": float(bundle.Fval),
+            "F_value": float(verdict.bundle.Fval),
         },
         "multiplier": (
             None
@@ -84,7 +79,7 @@ def analysis_document(
             "theorem_applied": verdict.theorem_applied,
             "mode": verdict.mode,
         },
-        "warnings": list(verdict.warnings) + list(extra_warnings),
+        "warnings": list(verdict.warnings) + list(fixture_notes(pf.spec, pf.point)),
     }
     if membership is not None:
         doc["membership"] = membership
@@ -93,15 +88,13 @@ def analysis_document(
     return doc
 
 
-def derivatives_document(
-    pf: ProblemFile, tol: ToleranceConfig, bundle: DerivativeBundle, fd_audit=None
-) -> dict:
+def derivatives_document(pf: ProblemFile, bundle: DerivativeBundle, fd_audit=None) -> dict:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "derivatives",
         "problem": _problem_echo(pf),
         "point": {"x": list(pf.point.x), "w": list(pf.point.w)},
-        "tolerances": tol.as_dict(),
+        "tolerances": pf.tolerances.as_dict(),
         "bundle": {
             "F_value": float(bundle.Fval),
             "gxf0": _vector(bundle.gxf0),

@@ -26,10 +26,9 @@ from aubincheck.conditions import (
     gamma_systems,
     verdict,
 )
-from aubincheck.fixtures import PRODUCT_CONSTRAINT_ALT
 from aubincheck.kernel import null_space
 from aubincheck.oracle import aubin_probe, sample_stationary_set
-from conftest import PROBEABLE, fixture_path
+from conftest import PRODUCT_CONSTRAINT_ALT, PROBEABLE, fixture_path
 from test_cli import run_cli
 
 TOL = ToleranceConfig()
@@ -215,22 +214,19 @@ def test_criterion_5d_condition_implications(problems):
 def test_criterion_5e_membership_witnesses(problems):
     rng = np.random.default_rng(123)
     for pf in problems.values():
-        b = derivative_bundle(pf.spec, pf.point)
-        tag = classify_point(b, TOL)
-        lam = lagrange_multiplier(b, TOL).lam if tag.is_boundary else 0.0
+        v = verdict(pf.spec, pf.point, TOL)
         # membership(0, 0) is In in every case
-        r0 = coderivative_membership(
-            b, tag, lam, [0.0] * pf.spec.n, [0.0] * pf.spec.d, TOL
-        )
+        r0 = coderivative_membership(v, [0.0] * pf.spec.n, [0.0] * pf.spec.d, TOL)
         assert r0.answer == "In", pf.path
-        desc = gamma_systems(b, tag, lam)
+        lam = v.multiplier.lam if v.multiplier is not None else 0.0
+        desc = gamma_systems(v.bundle, v.case, lam)
         for _ in range(8):
             xp = rng.integers(-2, 3, size=pf.spec.n).astype(float)
             wp = rng.integers(-2, 3, size=pf.spec.d).astype(float)
-            r = coderivative_membership(b, tag, lam, xp, wp, TOL)
+            r = coderivative_membership(v, xp, wp, TOL)
             if r.answer != "In":
                 continue
-            branch = next(br for br in desc.branches if br.name == r.branch)
+            branch = next(br for br in desc.inner + desc.outer if br.name == r.branch)
             z = np.array(list(r.witness_v) + ([r.witness_gamma] if branch.has_gamma else []))
             rhs = branch.rhs(xp, wp)
             assert np.linalg.norm(branch.M @ z - rhs) <= 1e-7 * (1.0 + np.linalg.norm(rhs))

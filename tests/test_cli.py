@@ -7,7 +7,7 @@ import pathlib
 import pytest
 
 from aubincheck.cli import main
-from conftest import FIXTURE_NAMES, PROBEABLE, fixture_path
+from conftest import FIXTURE_NAMES, PROBEABLE, fixture_path, problem_dims
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -174,6 +174,38 @@ class TestErrorPaths:
         assert "Traceback" not in err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["probe", "{fixture}", "--grid-points", "4"],
+            ["probe", "{fixture}", "--samples", "0"],
+            ["probe", "{fixture}", "--levels", "0"],
+            ["probe", "{fixture}", "--delta0=-1"],
+            ["probe", "{fixture}", "--box-radius", "0"],
+            ["probe", "{fixture}", "--delta0", "nan"],
+            ["probe", "{fixture}", "--box-radius", "inf"],
+            ["probe", "{nan_delta0}"],
+            ["analyze", "{fixture}", "--tol-overrides", "tau_rank=nan"],
+            ["analyze", "{fixture}", "--tol-overrides", "tau_act=inf"],
+            ["membership", "{fixture}", "--xprime", "nan", "--wprime", "0"],
+            ["membership", "{fixture}", "--xprime", "inf", "--wprime", "0"],
+            ["membership", "{fixture}", "--xprime", "0", "--wprime=-inf"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_setting_is_input_error(self, argv, tmp_path, capsys):
+        nan_delta0 = tmp_path / "nan_delta0.prob"
+        nan_delta0.write_text(
+            pathlib.Path(fixture_path("halfline_quadratic")).read_text()
+            + "\n[probe]\ndelta0 = nan\n"
+        )
+        paths = {"fixture": fixture_path("halfline_quadratic"), "nan_delta0": str(nan_delta0)}
+        code, out = run_cli([arg.format(**paths) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_probe_capability_bound(self, tmp_path):
         p = tmp_path / "n3.prob"
         p.write_text(
@@ -229,6 +261,44 @@ class TestMembershipCommand:
             ]
         )
         assert json.loads(out)["membership"][0]["answer"] == "In"
+
+    # Extra queries beyond the generic ones of `golden_queries`.
+    EXTRA_QUERIES = {
+        "circle_boundary": [("-2", "2")],
+        "halfline_quadratic": [("0", "1"), ("-2", "1")],
+    }
+
+    @classmethod
+    def golden_queries(cls, name):
+        """(x', w') arguments: the origin, (0, e_k), (e_i, 0), a few integer
+        vectors and the fixture's extra queries."""
+        n, d = problem_dims(name)
+        vec = lambda v: ",".join(str(t) for t in v)
+        unit = lambda size, i: [int(j == i) for j in range(size)]
+        queries = [(vec([0] * n), vec([0] * d))]
+        queries += [(vec([0] * n), vec(unit(d, k))) for k in range(d)]
+        queries += [(vec(unit(n, i)), vec([0] * d)) for i in range(n)]
+        queries += [
+            (vec([1] * n), vec([1] * d)),
+            (vec([-2] * n), vec([1] * d)),
+            (vec([1] * n), vec([-2] * d)),
+            (vec(range(1, n + 1)), vec(range(-1, -d - 1, -1))),
+        ]
+        return queries + [q for q in cls.EXTRA_QUERIES.get(name, []) if q not in queries]
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_json_matches_golden(self, name):
+        # sha256 of `membership --json` per query, pinned before membership
+        # was rewritten to read the verdict's condition reports.
+        golden = json.loads((GOLDEN_DIR / "membership.json").read_text())[name]
+        digests = {}
+        for xp, wp in self.golden_queries(name):
+            code, out = run_cli(
+                ["membership", fixture_path(name), "--json", f"--xprime={xp}", f"--wprime={wp}"]
+            )
+            assert code == 0
+            digests[f"{xp};{wp}"] = hashlib.sha256(out.encode()).hexdigest()
+        assert digests == golden
 
     def test_dimension_mismatch(self):
         code, _ = run_cli(

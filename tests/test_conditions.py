@@ -4,7 +4,6 @@ import pytest
 from aubincheck.calculus import (
     BOUNDARY,
     DEGENERATE,
-    CaseTag,
     EvalPoint,
     ToleranceConfig,
     classify_point,
@@ -20,13 +19,12 @@ from aubincheck.conditions import (
     check_interior,
     check_nondegenerate,
     coderivative_membership,
-    extended_map_verdict,
     gamma_systems,
     verdict,
 )
 from aubincheck.errors import NotStationary
 from aubincheck.expr import ProblemSpec, parse
-from aubincheck.fixtures import PRODUCT_CONSTRAINT_ALT
+from conftest import PRODUCT_CONSTRAINT_ALT
 
 TOL = ToleranceConfig()
 
@@ -37,6 +35,15 @@ def _case(problems, name):
     tag = classify_point(b, TOL)
     lam = lagrange_multiplier(b, TOL).lam if tag.is_boundary else 0.0
     return pf, b, tag, lam
+
+
+def _verdict(problems, name):
+    pf = problems[name]
+    return verdict(pf.spec, pf.point, TOL)
+
+
+def _lam(v):
+    return v.multiplier.lam if v.multiplier is not None else 0.0
 
 
 def _holds(reports):
@@ -197,18 +204,17 @@ class TestVerdict:
 
 
 class TestExtendedMap:
+    # The extended map is Lipschitz-like at an interior point iff ker Hxx = {0}:
+    # the C3_5 report.
     def test_trust_region_true(self, problems):
-        _, b, _, _ = _case(problems, "trust_region")
-        assert extended_map_verdict(b, TOL)
+        assert _verdict(problems, "trust_region").condition("C3_5").holds
 
     def test_cubic_false(self, problems):
-        _, b, _, _ = _case(problems, "cubic_pitchfork")
-        assert not extended_map_verdict(b, TOL)
+        assert not _verdict(problems, "cubic_pitchfork").condition("C3_5").holds
 
     def test_simple_true(self):
         spec = ProblemSpec(1, 1, parse("x1^2", 1, 1), parse("x1 - 1", 1, 1))
-        b = derivative_bundle(spec, EvalPoint([0.0], [0.0]))
-        assert extended_map_verdict(b, TOL)
+        assert verdict(spec, EvalPoint([0.0], [0.0]), TOL).condition("C3_5").holds
 
 
 class TestImplicationInvariants:
@@ -277,47 +283,43 @@ class TestImplicationInvariants:
 
 class TestMembership:
     def test_circle_origin(self, problems):
-        _, b, tag, lam = _case(problems, "circle_boundary")
-        r = coderivative_membership(b, tag, lam, [0.0], [0.0], TOL)
+        v = _verdict(problems, "circle_boundary")
+        r = coderivative_membership(v, [0.0], [0.0], TOL)
         assert r.answer == "In"
 
     def test_circle_in_with_witness(self, problems):
-        _, b, tag, lam = _case(problems, "circle_boundary")
-        r = coderivative_membership(b, tag, lam, [-2.0], [2.0], TOL)
+        v = _verdict(problems, "circle_boundary")
+        r = coderivative_membership(v, [-2.0], [2.0], TOL)
         assert r.answer == "In"
         assert r.witness_v == pytest.approx([0.0], abs=1e-10)
         assert r.witness_gamma == pytest.approx(1.0, abs=1e-10)
 
     def test_circle_out(self, problems):
-        _, b, tag, lam = _case(problems, "circle_boundary")
-        r = coderivative_membership(b, tag, lam, [0.0], [1.0], TOL)
+        v = _verdict(problems, "circle_boundary")
+        r = coderivative_membership(v, [0.0], [1.0], TOL)
         assert r.answer == "Out"
 
     def test_origin_in_everywhere(self, problems):
         for pf in problems.values():
-            b = derivative_bundle(pf.spec, pf.point)
-            tag = classify_point(b, TOL)
-            lam = lagrange_multiplier(b, TOL).lam if tag.is_boundary else 0.0
+            v = verdict(pf.spec, pf.point, TOL)
             zero_x = [0.0] * pf.spec.n
             zero_w = [0.0] * pf.spec.d
-            r = coderivative_membership(b, tag, lam, zero_x, zero_w, TOL)
+            r = coderivative_membership(v, zero_x, zero_w, TOL)
             assert r.answer == "In", pf.path
 
     def test_witnesses_satisfy_branch_systems(self, problems):
         rng = np.random.default_rng(77)
         desc_cache = {}
         for pf in problems.values():
-            b = derivative_bundle(pf.spec, pf.point)
-            tag = classify_point(b, TOL)
-            lam = lagrange_multiplier(b, TOL).lam if tag.is_boundary else 0.0
-            desc = gamma_systems(b, tag, lam)
+            v = verdict(pf.spec, pf.point, TOL)
+            desc = gamma_systems(v.bundle, v.case, _lam(v))
             for _ in range(10):
                 xp = rng.integers(-2, 3, size=pf.spec.n).astype(float)
                 wp = rng.integers(-2, 3, size=pf.spec.d).astype(float)
-                r = coderivative_membership(b, tag, lam, xp, wp, TOL)
+                r = coderivative_membership(v, xp, wp, TOL)
                 if r.answer != "In":
                     continue
-                branch = next(br for br in desc.branches if br.name == r.branch)
+                branch = next(br for br in desc.inner + desc.outer if br.name == r.branch)
                 z = np.array(
                     list(r.witness_v) + ([r.witness_gamma] if branch.has_gamma else [])
                 )
@@ -327,31 +329,31 @@ class TestMembership:
     def test_degenerate_unknown_without_regularity(self):
         # C4_10 fails here, so a non-inner point cannot be certified Out.
         spec = ProblemSpec(1, 1, parse("-0.000000005*x1", 1, 1), parse("x1 + w1", 1, 1))
-        b = derivative_bundle(spec, EvalPoint([0.0], [0.0]))
-        tag = CaseTag(BOUNDARY, DEGENERATE)
-        r = coderivative_membership(b, tag, 0.0, [0.0], [5.0], TOL)
+        v = verdict(spec, EvalPoint([0.0], [0.0]), TOL)
+        assert (v.case.kind, v.case.subtag) == (BOUNDARY, DEGENERATE)
+        r = coderivative_membership(v, [0.0], [5.0], TOL)
         assert r.answer == "Unknown"
         assert any("C4_10" in note for note in r.notes)
 
     def test_interior_out_requires_c3_2(self, problems):
         # cubic_pitchfork: C3_2 fails, infeasible queries downgrade to Unknown.
-        _, b, tag, _ = _case(problems, "cubic_pitchfork")
-        r = coderivative_membership(b, tag, 0.0, [1.0], [1.0], TOL)
+        v = _verdict(problems, "cubic_pitchfork")
+        r = coderivative_membership(v, [1.0], [1.0], TOL)
         assert r.answer == "Unknown"
         assert any("C3_2" in note for note in r.notes)
 
     def test_degenerate_outer_estimate_out(self, problems):
         # halfline_quadratic has C4_10; at x'=0, w'=1 the inner system forces
         # v = -1/2 < 0 and every outer branch is inconsistent, hence Out.
-        _, b, tag, lam = _case(problems, "halfline_quadratic")
-        r = coderivative_membership(b, tag, lam, [0.0], [1.0], TOL)
+        v = _verdict(problems, "halfline_quadratic")
+        r = coderivative_membership(v, [0.0], [1.0], TOL)
         assert r.answer == "Out"
 
     def test_degenerate_inner_estimate_in(self, problems):
         # halfline_quadratic at x'=-2, w'=1: v=1/2 >= 0, gamma=1 >= 0 solves
         # the inner system (2v + gamma = 2, gamma = 1).
-        _, b, tag, lam = _case(problems, "halfline_quadratic")
-        r = coderivative_membership(b, tag, lam, [-2.0], [1.0], TOL)
+        v = _verdict(problems, "halfline_quadratic")
+        r = coderivative_membership(v, [-2.0], [1.0], TOL)
         assert r.answer == "In"
         assert r.witness_v == pytest.approx([0.5], abs=1e-9)
         assert r.witness_gamma == pytest.approx(1.0, abs=1e-9)
