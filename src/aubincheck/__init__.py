@@ -15,15 +15,11 @@ from .calculus import (
     verify_stationarity,
 )
 from .conditions import (
-    ConditionMatrices,
     ConditionReport,
     MembershipResult,
     Verdict,
-    assemble_matrices,
-    check_degenerate,
-    check_interior,
-    check_nondegenerate,
     coderivative_membership,
+    condition_reports,
     gamma_systems,
     verdict,
 )

@@ -23,6 +23,7 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     InfeasiblePoint,
+    InputError,
     MfcqViolated,
     NotStationary,
 )
@@ -338,8 +339,8 @@ def finite_difference_audit(spec: ex.ProblemSpec, point: EvalPoint, h: float = 1
     level below it, so every differentiation step is checked against data that
     did not use that step.
     """
-    if h <= 0.0:
-        raise ValueError("step h must be positive")
+    if not _finite_positive(h):
+        raise InputError(f"finite-difference step must be finite and strictly positive, got {h!r}")
     derivs = problem_derivatives(spec)
     b = derivs.bundle(point)
     x, w = point.arrays()

@@ -1,5 +1,5 @@
-"""Condition matrices, named condition checks, the three-valued verdict,
-and coderivative membership queries.
+"""The case tables of branch systems, the named conditions read from them,
+the three-valued verdict, and coderivative membership queries.
 
 Condition identifiers follow a fixed catalogue:
 
@@ -10,19 +10,29 @@ Condition identifiers follow a fixed catalogue:
 with the structural implications C3_5 <=> C3_2 and C3_4,
 C4_8 => C4_4 and C4_6, C4_13 => C4_14.
 
-Membership reads one table per case (``gamma_systems``): the inner
-estimate's branches, the outer estimate's branches, and the regularity
-condition under which the outer estimate is valid:
+Verdict and membership read one table per case (``gamma_systems``): the
+inner estimate's branches, the outer estimate's branches, the regularity
+condition under which the outer estimate is valid, and the exactness
+condition.  Each branch names its condition:
 
-  case           inner       outer                                 regularity
-  interior       Gamma1      -                                     C3_2
-  nondegenerate  Gamma2      -                                     C4_4
-  degenerate     Gamma1_hat  Gamma3_tangential, Gamma3_ascent,     C4_10
-                             Gamma3_descent
+  case           inner              outer                     regularity  exactness
+  interior       Gamma1 (C3_4)      -                         C3_2        C3_5
+  nondegenerate  Gamma2 (C4_6)      -                         C4_4        C4_8
+  degenerate     Gamma1_hat (C4_14) Gamma3_tangential (C4_11a), C4_10     -
+                                    Gamma3_ascent (C4_11b),
+                                    Gamma3_descent (C4_12)
+
+A branch's condition is the Mordukhovich test D*S(w|x)(0) = {0} on that
+branch: every solution of its system at x' = 0 gives w' = 0.  With K the
+null space of the branch's x and zero rows, it holds when the cone section
+of K (all of K without sign constraints) lies in the kernel of the w rows.
+The regularity condition is a trivial kernel of the inner branch's whole
+matrix, the exactness condition a trivial K of the inner branch, and C4_13
+is the regularity condition together with every outer branch condition.
 
 In the first two cases the single branch is exact, so it is the inner one
-and the outer estimate adds nothing.  The regularity condition is read from
-the verdict's report, not recomputed.
+and the outer estimate adds nothing.  Membership reads the regularity
+condition from the verdict's report, not recomputed.
 """
 
 from __future__ import annotations
@@ -33,7 +43,6 @@ import numpy as np
 
 from .calculus import (
     BOUNDARY,
-    DEGENERATE,
     NONDEGENERATE,
     _projected_multiplier as _projected,
     CaseTag,
@@ -53,25 +62,19 @@ from .kernel import (
     STRICT_NEGATIVE,
     STRICT_POSITIVE,
     ConeConstraint,
-    SubspaceBasis,
     affine_feasibility,
     cone_span,
     contained_in_kernel,
     null_space,
-    stacked_kernel,
 )
 
 __all__ = [
-    "ConditionMatrices",
     "ConditionReport",
     "Verdict",
     "GammaBranch",
     "GammaSetDescription",
     "MembershipResult",
-    "assemble_matrices",
-    "check_interior",
-    "check_nondegenerate",
-    "check_degenerate",
+    "condition_reports",
     "verdict",
     "gamma_systems",
     "coderivative_membership",
@@ -102,26 +105,171 @@ CONDITION_ORDER = (
 
 
 @dataclass(frozen=True)
-class ConditionMatrices:
-    """The boundary-case block matrices.
-
-    Nondegenerate: A1 = [Hxx + lam*Fxx | gxF], A2 = [Hwx + lam*Fwx | gwF].
-    Degenerate:    A1 = [Hxx | gxF],           A2 = [Hwx | gwF]   (lam unused).
-    Gradients enter as column blocks, so A1 is n x (n+1), A2 is d x (n+1).
-    """
-
-    degenerate: bool
-    lam: float
-    A1: np.ndarray
-    A2: np.ndarray
-
-
-@dataclass(frozen=True)
 class ConditionReport:
     id: str
     holds: bool
     evidence: dict
     warnings: tuple = ()
+
+
+# ---------------------------------------------------------------------------
+# Case tables
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class GammaBranch:
+    """One affine-conic branch system: M z = rhs(x', w') with sign constraints.
+
+    ``rhs_layout`` labels the stacked rows: "x" rows receive -x', "zero" rows
+    receive 0, "w" rows (always last) receive w'.  Unknowns are (v, gamma)
+    when ``has_gamma`` else v alone.  ``condition`` is the id of the branch's
+    x' = 0 test; ``evidence_key`` names the kernel dimension in its report
+    when the branch has no sign constraints.
+    """
+
+    name: str
+    condition: str
+    M: np.ndarray
+    rhs_layout: tuple
+    constraints: tuple
+    has_gamma: bool
+    evidence_key: str = "restricted_kernel_dim"
+
+    @property
+    def w_rows(self) -> int:
+        return self.rhs_layout[-1][1]
+
+    def rhs(self, xprime: np.ndarray, wprime: np.ndarray) -> np.ndarray:
+        parts = []
+        for label, count in self.rhs_layout:
+            if label == "x":
+                parts.append(-np.asarray(xprime, dtype=float))
+            elif label == "zero":
+                parts.append(np.zeros(count))
+            else:
+                parts.append(np.asarray(wprime, dtype=float))
+        return np.concatenate(parts)
+
+
+@dataclass(frozen=True)
+class GammaSetDescription:
+    """One case's table: inner and outer branches, regularity and exactness ids."""
+
+    case: str
+    inner: tuple
+    outer: tuple
+    regularity: str
+    exactness: str | None = None
+
+
+def gamma_systems(b: DerivativeBundle, tag: CaseTag, lam: float) -> GammaSetDescription:
+    """Branch systems of the coderivative set description for the given case.
+
+    Boundary branches act on (v, gamma) through A1 = [Hxx + lam*Fxx | gxF] and
+    A2 = [Hwx + lam*Fwx | gwF] (lam = 0 in the degenerate case); the row
+    [gxF^T | 0] restricts v to ker(gxF^T).
+    """
+    n, d = b.n, b.d
+    if tag.is_interior:
+        M = np.vstack([b.Hxx, b.Hwx])
+        branch = GammaBranch("Gamma1", "C3_4", M, (("x", n), ("w", d)), (), False, "ker_Hxx_dim")
+        return GammaSetDescription("interior", (branch,), (), "C3_2", "C3_5")
+
+    Hxx, Hwx = b.Hxx, b.Hwx
+    if tag.subtag == NONDEGENERATE:
+        Hxx, Hwx = Hxx + lam * b.Fxx, Hwx + lam * b.Fwx
+    A1 = np.hstack([Hxx, b.gxF[:, None]])
+    A2 = np.hstack([Hwx, b.gwF[:, None]])
+    gxF_lift = np.concatenate([b.gxF, [0.0]])
+    gamma_coord = np.zeros(n + 1)
+    gamma_coord[n] = 1.0
+    restricted = np.vstack([A1, gxF_lift[None, :], A2])
+    restricted_layout = (("x", n), ("zero", 1), ("w", d))
+
+    if tag.subtag == NONDEGENERATE:
+        branch = GammaBranch("Gamma2", "C4_6", restricted, restricted_layout, (), True)
+        return GammaSetDescription("nondegenerate", (branch,), (), "C4_4", "C4_8")
+
+    pair = np.vstack([A1, A2])
+    layout = (("x", n), ("w", d))
+    wedge = (ConeConstraint(gxF_lift, NONNEG), ConeConstraint(gamma_coord, NONNEG))
+    ascent = (ConeConstraint(gxF_lift, STRICT_POSITIVE), ConeConstraint(gamma_coord, NONNEG))
+    descent = (ConeConstraint(b.gxF, STRICT_NEGATIVE),)
+    inner = GammaBranch("Gamma1_hat", "C4_14", pair, layout, wedge, True)
+    outer = (
+        GammaBranch("Gamma3_tangential", "C4_11a", restricted, restricted_layout, (), True),
+        GammaBranch("Gamma3_ascent", "C4_11b", pair, layout, ascent, True),
+        GammaBranch("Gamma3_descent", "C4_12", np.vstack([b.Hxx, b.Hwx]), layout, descent, False),
+    )
+    return GammaSetDescription("degenerate", (inner,), outer, "C4_10")
+
+
+# ---------------------------------------------------------------------------
+# Conditions and verdict
+# ---------------------------------------------------------------------------
+
+def _branch_test(branch: GammaBranch, tol: ToleranceConfig):
+    """(report of the branch's x' = 0 test, K = null space of its x and zero rows)."""
+    K = null_space(branch.M[: -branch.w_rows], tol)
+    W = branch.M[-branch.w_rows :]
+    if not branch.constraints:
+        holds = contained_in_kernel(K, W, tol)
+        return ConditionReport(branch.condition, holds, {branch.evidence_key: K.dim}), K
+    section = cone_span(K, branch.constraints, tol)
+    if section.empty:
+        evidence = {"cone_section": "empty", "source_dim": K.dim}
+        return ConditionReport(branch.condition, True, evidence, section.warnings), K
+    holds = contained_in_kernel(section.spans, W, tol)
+    evidence = {"cone_section": "spans", "span_dim": section.spans.dim, "source_dim": K.dim}
+    return ConditionReport(branch.condition, holds, evidence, section.warnings), K
+
+
+def condition_reports(desc: GammaSetDescription, tol: ToleranceConfig = ToleranceConfig()) -> tuple:
+    """The case's condition reports, read off its table, in CONDITION_ORDER."""
+    (inner,) = desc.inner
+    inner_report, K = _branch_test(inner, tol)
+    outer_reports = [_branch_test(branch, tol)[0] for branch in desc.outer]
+    joint = null_space(inner.M, tol)
+    regular = ConditionReport(desc.regularity, joint.is_trivial, {"kernel_dim": joint.dim})
+    reports = [inner_report, regular, *outer_reports]
+    if desc.exactness is not None:
+        evidence = {inner.evidence_key: K.dim}
+        if desc.exactness == "C3_5":  # also the extended map's criterion
+            evidence["extended_map_lipschitz_like"] = K.is_trivial
+        reports.append(ConditionReport(desc.exactness, K.is_trivial, evidence))
+    if desc.outer:
+        parts = [regular, *outer_reports]  # the outer estimate's sufficient bundle
+        evidence = {"conjunction_of": [r.id for r in parts]}
+        reports.append(ConditionReport("C4_13", all(r.holds for r in parts), evidence))
+    return tuple(sorted(reports, key=lambda r: CONDITION_ORDER.index(r.id)))
+
+
+# Theorem cited per case: Yes, and No with the regularity condition holding
+# or failing.  The inner coderivative estimate already contains the C4_6
+# system, so its failure refutes the property without assuming C4_4; strict
+# mode confines refutation to the literal theorem statements.
+_THEOREMS = {
+    "interior": ("Thm3.1(b,c)", "Thm3.1(c)", "Thm3.1(a)"),
+    "nondegenerate": ("Thm4.1", "LowerEstimateNecessity", "LowerEstimateNecessity"),
+    "degenerate": ("Thm4.3(b)", "Thm4.3(a)", "Thm4.3(a)"),
+}
+_EXTENDED_ONLY = "LowerEstimateNecessity"
+
+
+def _decide(desc: GammaSetDescription, reports, mode: str) -> tuple[str, str | None]:
+    """No when an inner branch condition fails; Yes when the regularity
+    condition and the outer estimate's conditions (the inner branch's, when
+    there is no outer branch) hold; Unknown otherwise."""
+    holds = {r.id: r.holds for r in reports}
+    yes, no_regular, no_irregular = _THEOREMS[desc.case]
+    regular = holds[desc.regularity]
+    if not all(holds[b.condition] for b in desc.inner):
+        theorem = no_regular if regular else no_irregular
+        if mode == MODE_EXTENDED or theorem != _EXTENDED_ONLY:
+            return NO, theorem
+    if regular and all(holds[b.condition] for b in desc.outer or desc.inner):
+        return YES, yes
+    return UNKNOWN, None
 
 
 @dataclass(frozen=True)
@@ -132,7 +280,9 @@ class Verdict:
     lipschitz_like: str
     theorem_applied: str | None
     mode: str
-    bundle: DerivativeBundle = field(compare=False)  # == compares the decision only
+    # == compares the decision only
+    bundle: DerivativeBundle = field(compare=False)
+    table: GammaSetDescription = field(compare=False)
     warnings: tuple = ()
 
     def condition(self, cid: str) -> ConditionReport:
@@ -140,172 +290,6 @@ class Verdict:
             if rep.id == cid:
                 return rep
         raise KeyError(cid)
-
-
-def assemble_matrices(b: DerivativeBundle, tag: CaseTag, lam: float) -> ConditionMatrices:
-    """Build the boundary condition matrices for the case selected by ``tag``."""
-    gxF = b.gxF.reshape(-1, 1)
-    gwF = b.gwF.reshape(-1, 1)
-    if tag.subtag == DEGENERATE:
-        A1 = np.hstack([b.Hxx, gxF])
-        A2 = np.hstack([b.Hwx, gwF])
-        return ConditionMatrices(True, 0.0, A1, A2)
-    A1 = np.hstack([b.Hxx + lam * b.Fxx, gxF])
-    A2 = np.hstack([b.Hwx + lam * b.Fwx, gwF])
-    return ConditionMatrices(False, lam, A1, A2)
-
-
-def _gxF_row(gxF: np.ndarray) -> np.ndarray:
-    """Row [gxF^T | 0] whose kernel is ker(gxF^T) x R in the (v, gamma) space."""
-    return np.concatenate([gxF, [0.0]])[None, :]
-
-
-def check_interior(b: DerivativeBundle, tol: ToleranceConfig = ToleranceConfig()) -> list:
-    """Interior-case conditions on the kernels of Hxx and Hwx."""
-    ker_joint = stacked_kernel([b.Hxx, b.Hwx], tol)
-    ker_Hxx = null_space(b.Hxx, tol)
-    c3_2 = ker_joint.is_trivial
-    c3_4 = contained_in_kernel(ker_Hxx, b.Hwx, tol)
-    c3_5 = ker_Hxx.is_trivial
-    return [
-        ConditionReport("C3_2", c3_2, {"kernel_dim": ker_joint.dim}),
-        ConditionReport("C3_4", c3_4, {"ker_Hxx_dim": ker_Hxx.dim}),
-        ConditionReport(
-            "C3_5",
-            c3_5,
-            {"ker_Hxx_dim": ker_Hxx.dim, "extended_map_lipschitz_like": c3_5},
-        ),
-    ]
-
-
-def check_nondegenerate(
-    m: ConditionMatrices, gxF: np.ndarray, tol: ToleranceConfig = ToleranceConfig()
-) -> list:
-    """Nondegenerate boundary conditions on A1, A2 restricted to ker(gxF^T) x R."""
-    row = _gxF_row(gxF)
-    ker_444 = stacked_kernel([m.A1, m.A2, row], tol)
-    ker_restricted = stacked_kernel([m.A1, row], tol)
-    c4_4 = ker_444.is_trivial
-    c4_6 = contained_in_kernel(ker_restricted, m.A2, tol)
-    c4_8 = ker_restricted.is_trivial
-    return [
-        ConditionReport("C4_4", c4_4, {"kernel_dim": ker_444.dim}),
-        ConditionReport("C4_6", c4_6, {"restricted_kernel_dim": ker_restricted.dim}),
-        ConditionReport("C4_8", c4_8, {"restricted_kernel_dim": ker_restricted.dim}),
-    ]
-
-
-def _cone_condition(
-    cid: str,
-    K: SubspaceBasis,
-    constraints,
-    target: np.ndarray,
-    tol: ToleranceConfig,
-) -> ConditionReport:
-    """holds <=> the cone section of K is empty or its span lies in ker(target)."""
-    result = cone_span(K, constraints, tol)
-    if result.empty:
-        return ConditionReport(
-            cid, True, {"cone_section": "empty", "source_dim": K.dim}, result.warnings
-        )
-    contained = contained_in_kernel(result.spans, target, tol)
-    return ConditionReport(
-        cid,
-        contained,
-        {"cone_section": "spans", "span_dim": result.spans.dim, "source_dim": K.dim},
-        result.warnings,
-    )
-
-
-def check_degenerate(
-    m: ConditionMatrices,
-    Hxx: np.ndarray,
-    Hwx: np.ndarray,
-    gxF: np.ndarray,
-    tol: ToleranceConfig = ToleranceConfig(),
-) -> list:
-    """Degenerate boundary conditions, including the cone-restricted ones."""
-    n = gxF.shape[0]
-    row = _gxF_row(gxF)
-    lifted_gxF = np.concatenate([gxF, [0.0]])
-    gamma_coord = np.zeros(n + 1)
-    gamma_coord[n] = 1.0
-
-    ker_joint = stacked_kernel([m.A1, m.A2], tol)
-    ker_restricted = stacked_kernel([m.A1, row], tol)
-    c4_10 = ConditionReport("C4_10", ker_joint.is_trivial, {"kernel_dim": ker_joint.dim})
-    c4_11a = ConditionReport(
-        "C4_11a",
-        contained_in_kernel(ker_restricted, m.A2, tol),
-        {"restricted_kernel_dim": ker_restricted.dim},
-    )
-
-    ker_A1 = null_space(m.A1, tol)
-    delta1 = (
-        ConeConstraint(lifted_gxF, STRICT_POSITIVE),
-        ConeConstraint(gamma_coord, NONNEG),
-    )
-    c4_11b = _cone_condition("C4_11b", ker_A1, delta1, m.A2, tol)
-
-    ker_Hxx = null_space(Hxx, tol)
-    delta2 = (ConeConstraint(gxF, STRICT_NEGATIVE),)
-    c4_12 = _cone_condition("C4_12", ker_Hxx, delta2, Hwx, tol)
-
-    c4_13_holds = c4_10.holds and c4_11a.holds and c4_11b.holds and c4_12.holds
-    c4_13 = ConditionReport(
-        "C4_13",
-        c4_13_holds,
-        {"conjunction_of": ["C4_10", "C4_11a", "C4_11b", "C4_12"]},
-    )
-
-    delta3 = (
-        ConeConstraint(lifted_gxF, NONNEG),
-        ConeConstraint(gamma_coord, NONNEG),
-    )
-    c4_14 = _cone_condition("C4_14", ker_A1, delta3, m.A2, tol)
-
-    return [c4_10, c4_11a, c4_11b, c4_12, c4_13, c4_14]
-
-
-# ---------------------------------------------------------------------------
-# Verdict synthesis
-# ---------------------------------------------------------------------------
-
-def _holds(reports, cid: str) -> bool:
-    return next(r.holds for r in reports if r.id == cid)
-
-
-def _interior_verdict(reports) -> tuple[str, str | None]:
-    c2, c4 = _holds(reports, "C3_2"), _holds(reports, "C3_4")
-    if c2 and c4:
-        return YES, "Thm3.1(b,c)"
-    if c2 and not c4:
-        return NO, "Thm3.1(c)"
-    if not c2 and not c4:
-        return NO, "Thm3.1(a)"
-    return UNKNOWN, None
-
-
-def _nondegenerate_verdict(reports, mode: str) -> tuple[str, str | None]:
-    c4, c6 = _holds(reports, "C4_4"), _holds(reports, "C4_6")
-    if c4 and c6:
-        return YES, "Thm4.1"
-    if not c6:
-        # The inner coderivative estimate already contains the C4_6 system, so
-        # its failure refutes the property without assuming C4_4; strict mode
-        # confines refutation to the literal theorem statement.
-        if mode == MODE_EXTENDED:
-            return NO, "LowerEstimateNecessity"
-        return UNKNOWN, None
-    return UNKNOWN, None
-
-
-def _degenerate_verdict(reports) -> tuple[str, str | None]:
-    if not _holds(reports, "C4_14"):
-        return NO, "Thm4.3(a)"
-    if _holds(reports, "C4_13"):
-        return YES, "Thm4.3(b)"
-    return UNKNOWN, None
 
 
 def verdict(
@@ -326,151 +310,43 @@ def verdict(
     b = derivative_bundle(spec, point)
     tag = classify_point(b, tol)
     warnings: list[str] = []
-
+    minfo = None
     if tag.is_interior:
         if not verify_stationarity(b, tag, tol):
             raise NotStationary(
                 f"interior point is not stationary: ||grad_x f0|| = {np.linalg.norm(b.gxf0):.3e}"
             )
-        reports = check_interior(b, tol)
-        answer, theorem = _interior_verdict(reports)
-        return Verdict(tag, None, tuple(reports), answer, theorem, mode, b, tuple(warnings))
-
-    minfo = lagrange_multiplier(b, tol)
-    if tag.borderline_lambda:
-        warnings.append(
-            f"multiplier lambda = {_projected(b):.3e} lies within the zero tolerance; "
-            "classified degenerate and both boundary branches evaluated"
-        )
-
-    if tag.subtag == NONDEGENERATE:
-        mats = assemble_matrices(b, tag, minfo.lam)
-        reports = check_nondegenerate(mats, b.gxF, tol)
-        answer, theorem = _nondegenerate_verdict(reports, mode)
-        return Verdict(tag, minfo, tuple(reports), answer, theorem, mode, b, tuple(warnings))
-
-    deg_mats = assemble_matrices(b, tag, 0.0)
-    deg_reports = check_degenerate(deg_mats, b.Hxx, b.Hwx, b.gxF, tol)
-    deg_answer, deg_theorem = _degenerate_verdict(deg_reports)
-
-    if not tag.borderline_lambda:
-        return Verdict(
-            tag, minfo, tuple(deg_reports), deg_answer, deg_theorem, mode, b, tuple(warnings)
-        )
-
-    # Borderline multiplier: evaluate the nondegenerate branch as well and
-    # take the meet of the two verdicts (No dominates, Yes requires both).
-    nd_tag = CaseTag(BOUNDARY, NONDEGENERATE)
-    nd_mats = assemble_matrices(b, nd_tag, minfo.lam)
-    nd_reports = check_nondegenerate(nd_mats, b.gxF, tol)
-    nd_answer, nd_theorem = _nondegenerate_verdict(nd_reports, mode)
-    reports = tuple(deg_reports) + tuple(nd_reports)
-    if NO in (deg_answer, nd_answer):
-        answer = NO
-        theorem = deg_theorem if deg_answer == NO else nd_theorem
-    elif deg_answer == YES and nd_answer == YES:
-        answer = YES
-        theorem = f"{nd_theorem}+{deg_theorem}"
     else:
-        answer, theorem = UNKNOWN, None
-    return Verdict(tag, minfo, reports, answer, theorem, mode, b, tuple(warnings))
+        minfo = lagrange_multiplier(b, tol)
+        if tag.borderline_lambda:
+            warnings.append(
+                f"multiplier lambda = {_projected(b):.3e} lies within the zero tolerance; "
+                "classified degenerate and both boundary branches evaluated"
+            )
+
+    table = gamma_systems(b, tag, minfo.lam if minfo is not None else 0.0)
+    reports = condition_reports(table, tol)
+    answer, theorem = _decide(table, reports, mode)
+    if tag.borderline_lambda:
+        # Evaluate the nondegenerate branch as well and take the meet of the
+        # two verdicts (No dominates, Yes requires both).
+        nd_table = gamma_systems(b, CaseTag(BOUNDARY, NONDEGENERATE), minfo.lam)
+        nd_reports = condition_reports(nd_table, tol)
+        nd_answer, nd_theorem = _decide(nd_table, nd_reports, mode)
+        reports += nd_reports
+        if NO in (answer, nd_answer):
+            theorem = theorem if answer == NO else nd_theorem
+            answer = NO
+        elif answer == YES and nd_answer == YES:
+            theorem = f"{nd_theorem}+{theorem}"
+        else:
+            answer, theorem = UNKNOWN, None
+    return Verdict(tag, minfo, reports, answer, theorem, mode, b, table, tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
-# Coderivative set descriptions and membership
+# Coderivative membership
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GammaBranch:
-    """One affine-conic branch system: M z = rhs(x', w') with sign constraints.
-
-    ``rhs_layout`` labels the stacked rows: "x" rows receive -x', "zero" rows
-    receive 0, "w" rows receive w'.  Unknowns are (v, gamma) when
-    ``has_gamma`` else v alone.
-    """
-
-    name: str
-    M: np.ndarray
-    rhs_layout: tuple
-    constraints: tuple
-    has_gamma: bool
-
-    def rhs(self, xprime: np.ndarray, wprime: np.ndarray) -> np.ndarray:
-        parts = []
-        for label, count in self.rhs_layout:
-            if label == "x":
-                parts.append(-np.asarray(xprime, dtype=float))
-            elif label == "zero":
-                parts.append(np.zeros(count))
-            else:
-                parts.append(np.asarray(wprime, dtype=float))
-        return np.concatenate(parts)
-
-
-@dataclass(frozen=True)
-class GammaSetDescription:
-    """One case's table: inner branches, outer branches, regularity condition."""
-
-    case: str
-    inner: tuple
-    outer: tuple
-    regularity: str
-
-
-def gamma_systems(b: DerivativeBundle, tag: CaseTag, lam: float) -> GammaSetDescription:
-    """Branch systems of the coderivative set description for the given case."""
-    n, d = b.n, b.d
-    if tag.is_interior:
-        M = np.vstack([b.Hxx, b.Hwx])
-        branch = GammaBranch("Gamma1", M, (("x", n), ("w", d)), (), has_gamma=False)
-        return GammaSetDescription("interior", (branch,), (), "C3_2")
-
-    gxF_lift = np.concatenate([b.gxF, [0.0]])
-    gamma_coord = np.zeros(n + 1)
-    gamma_coord[n] = 1.0
-
-    if tag.subtag == NONDEGENERATE:
-        mats = assemble_matrices(b, tag, lam)
-        M = np.vstack([mats.A1, _gxF_row(b.gxF), mats.A2])
-        branch = GammaBranch(
-            "Gamma2", M, (("x", n), ("zero", 1), ("w", d)), (), has_gamma=True
-        )
-        return GammaSetDescription("nondegenerate", (branch,), (), "C4_4")
-
-    mats = assemble_matrices(b, tag, 0.0)
-    pair = np.vstack([mats.A1, mats.A2])
-    inner = GammaBranch(
-        "Gamma1_hat",
-        pair,
-        (("x", n), ("w", d)),
-        (ConeConstraint(gxF_lift, NONNEG), ConeConstraint(gamma_coord, NONNEG)),
-        has_gamma=True,
-    )
-    outer_eq = GammaBranch(
-        "Gamma3_tangential",
-        np.vstack([mats.A1, _gxF_row(b.gxF), mats.A2]),
-        (("x", n), ("zero", 1), ("w", d)),
-        (),
-        has_gamma=True,
-    )
-    outer_wedge = GammaBranch(
-        "Gamma3_ascent",
-        pair,
-        (("x", n), ("w", d)),
-        (ConeConstraint(gxF_lift, STRICT_POSITIVE), ConeConstraint(gamma_coord, NONNEG)),
-        has_gamma=True,
-    )
-    outer_descent = GammaBranch(
-        "Gamma3_descent",
-        np.vstack([b.Hxx, b.Hwx]),
-        (("x", n), ("w", d)),
-        (ConeConstraint(b.gxF, STRICT_NEGATIVE),),
-        has_gamma=False,
-    )
-    return GammaSetDescription(
-        "degenerate", (inner,), (outer_eq, outer_wedge, outer_descent), "C4_10"
-    )
-
 
 @dataclass(frozen=True)
 class MembershipResult:
@@ -508,8 +384,7 @@ def coderivative_membership(
             f"query has dimensions ({xprime.shape[0]}, {wprime.shape[0]}), "
             f"problem expects ({b.n}, {b.d})"
         )
-    lam = v.multiplier.lam if v.multiplier is not None else 0.0
-    desc = gamma_systems(b, v.case, lam)
+    desc = v.table
 
     def solve(branch):
         return affine_feasibility(branch.M, branch.rhs(xprime, wprime), branch.constraints, tol)

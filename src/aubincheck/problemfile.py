@@ -15,6 +15,7 @@ Unknown sections or keys are rejected.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 from .calculus import EvalPoint, ToleranceConfig
@@ -57,9 +58,12 @@ def _parse_list(raw: str, key: str) -> list:
     if not body:
         raise InputError(f"list {key!r} must not be empty")
     try:
-        return [float(tok) for tok in body.split(",")]
+        values = [float(tok) for tok in body.split(",")]
     except ValueError as exc:
         raise InputError(f"could not parse list {key!r}: {exc}") from None
+    if not all(map(math.isfinite, values)):
+        raise InputError(f"list {key!r} must hold finite reals, got {raw!r}")
+    return values
 
 
 def _number(raw: str, key: str):

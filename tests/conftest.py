@@ -1,10 +1,18 @@
+import importlib
 import pathlib
+import random
+import sys
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
+from aubincheck.calculus import DerivativeBundle, EvalPoint
+from aubincheck.expr import ProblemSpec, parse
 from aubincheck.problemfile import load_problem
 
-FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURE_DIR = ROOT / "fixtures"
 
 FIXTURE_NAMES = (
     "trust_region",
@@ -22,13 +30,24 @@ FIXTURE_NAMES = (
 PROBEABLE = tuple(n for n in FIXTURE_NAMES if n != "trust_region")
 
 
+def make_bundle(Hxx, Hwx, gxF=None, gwF=None, Fxx=None, Fwx=None) -> DerivativeBundle:
+    """A derivative bundle with the given blocks, zero where none is given."""
+    Hxx = np.atleast_2d(np.asarray(Hxx, dtype=float))
+    Hwx = np.atleast_2d(np.asarray(Hwx, dtype=float))
+    d, n = Hwx.shape
+
+    def block(value, shape):
+        return np.zeros(shape) if value is None else np.asarray(value, dtype=float)
+
+    return DerivativeBundle(
+        n, d, 0.0, np.zeros(n), Hxx, Hwx,
+        block(gxF, n), block(gwF, d), block(Fxx, (n, n)), block(Fwx, (d, n)),
+    )
+
+
 # The alternative degenerate reading of the product_constraint fixture (its
-# multiplier treated as zero), kept as raw matrices for the condition checkers.
-PRODUCT_CONSTRAINT_ALT = {
-    "A1_deg": ((-4.0, 1.0),),
-    "A2_deg": ((2.0, 0.0),),
-    "gxF": (1.0,),
-}
+# multiplier treated as zero): A1 = [Hxx | gxF] = [-4, 1], A2 = [Hwx | gwF] = [2, 0].
+PRODUCT_CONSTRAINT_ALT = make_bundle([[-4.0]], [[2.0]], gxF=[1.0], gwF=[0.0])
 
 
 def fixture_path(name: str) -> str:
@@ -44,3 +63,48 @@ def problem_dims(name: str) -> tuple:
 @pytest.fixture(scope="session")
 def problems():
     return {name: load_problem(fixture_path(name)) for name in FIXTURE_NAMES}
+
+
+# The generated part of the verdict corpus: seeded problems of the benchmark
+# generator, each with its metamorphic variants.
+GENERATOR_SEEDS = (1, 2)
+BASE_PROBLEMS = 12  # per seed: two of each generator kind
+
+
+def bench_module(name: str):
+    """A module of the benchmark (``bench/problems`` or ``bench/checks``),
+    imported read-only."""
+    bench = str(ROOT / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    return importlib.import_module(name)
+
+
+@dataclass(frozen=True)
+class CorpusEntry:
+    name: str
+    spec: ProblemSpec
+    point: EvalPoint
+    variant: object = None  # the generator's ``Variant``; None for a fixture
+
+
+def build_corpus(problems) -> list:
+    """The fixtures, then the generated problems in generator order."""
+    generator = bench_module("problems")
+    out = [CorpusEntry(name, pf.spec, pf.point) for name, pf in problems.items()]
+    for seed in GENERATOR_SEEDS:
+        rng = random.Random(seed)
+        for p in generator.generate(seed, BASE_PROBLEMS):
+            for var in generator.variants(p, rng):
+                spec = ProblemSpec(
+                    var.n, var.d, parse(var.f0, var.n, var.d), parse(var.F, var.n, var.d)
+                )
+                out.append(
+                    CorpusEntry(f"seed{seed}/{var.name}", spec, EvalPoint(var.x, var.w), var)
+                )
+    return out
+
+
+@pytest.fixture(scope="session")
+def corpus(problems):
+    return build_corpus(problems)

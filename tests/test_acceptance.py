@@ -11,6 +11,9 @@ import numpy as np
 import pytest
 
 from aubincheck.calculus import (
+    BOUNDARY,
+    DEGENERATE,
+    CaseTag,
     ToleranceConfig,
     classify_point,
     derivative_bundle,
@@ -19,10 +22,8 @@ from aubincheck.calculus import (
 from aubincheck.conditions import (
     MODE_EXTENDED,
     MODE_STRICT,
-    ConditionMatrices,
-    assemble_matrices,
-    check_degenerate,
     coderivative_membership,
+    condition_reports,
     gamma_systems,
     verdict,
 )
@@ -91,9 +92,9 @@ def test_criterion_2_value_reproduction(problems):
     tag = classify_point(b, TOL)
     m = lagrange_multiplier(b, TOL)
     assert abs(m.lam - 1.0) <= 1e-10
-    mats = assemble_matrices(b, tag, m.lam)
-    assert np.max(np.abs(mats.A1 - np.array([[0.0, 2.0]]))) <= 1e-10
-    ker = null_space(mats.A1, TOL)
+    A1 = gamma_systems(b, tag, m.lam).inner[0].M[: b.n]  # [Hxx + lam*Fxx | gxF]
+    assert np.max(np.abs(A1 - np.array([[0.0, 2.0]]))) <= 1e-10
+    ker = null_space(A1, TOL)
     assert ker.dim == 1
     assert np.max(np.abs(ker.basis.ravel() - np.array([1.0, 0.0]))) <= 1e-10
 
@@ -102,8 +103,8 @@ def test_criterion_2_value_reproduction(problems):
     tag = classify_point(b, TOL)
     m = lagrange_multiplier(b, TOL)
     assert abs(m.lam - 1.0) <= 1e-10
-    mats = assemble_matrices(b, tag, m.lam)
-    ker = null_space(mats.A1, TOL)
+    A1 = gamma_systems(b, tag, m.lam).inner[0].M[: b.n]
+    ker = null_space(A1, TOL)
     # ker A1 is the (v1, v2) plane: dimension 2, gamma component zero.
     assert ker.dim == 2
     assert np.max(np.abs(ker.basis[2, :])) <= 1e-10
@@ -130,15 +131,8 @@ def test_criterion_3_discrepancy_adjudication(problems):
         assert abs(s.points[0, 0] - 1.0) <= 1e-6
 
     # the alternative degenerate reading fails C4_11b
-    alt = PRODUCT_CONSTRAINT_ALT
-    mats = ConditionMatrices(True, 0.0, np.array(alt["A1_deg"]), np.array(alt["A2_deg"]))
-    reports = check_degenerate(
-        mats,
-        np.array([[alt["A1_deg"][0][0]]]),
-        np.array([[alt["A2_deg"][0][0]]]),
-        np.array(alt["gxF"]),
-        TOL,
-    )
+    desc = gamma_systems(PRODUCT_CONSTRAINT_ALT, CaseTag(BOUNDARY, DEGENERATE), 0.0)
+    reports = condition_reports(desc, TOL)
     holds = {r.id: r.holds for r in reports}
     assert holds["C4_11b"] is False
 
@@ -218,8 +212,7 @@ def test_criterion_5e_membership_witnesses(problems):
         # membership(0, 0) is In in every case
         r0 = coderivative_membership(v, [0.0] * pf.spec.n, [0.0] * pf.spec.d, TOL)
         assert r0.answer == "In", pf.path
-        lam = v.multiplier.lam if v.multiplier is not None else 0.0
-        desc = gamma_systems(v.bundle, v.case, lam)
+        desc = v.table
         for _ in range(8):
             xp = rng.integers(-2, 3, size=pf.spec.n).astype(float)
             wp = rng.integers(-2, 3, size=pf.spec.d).astype(float)

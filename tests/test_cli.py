@@ -190,16 +190,26 @@ class TestErrorPaths:
             ["membership", "{fixture}", "--xprime", "nan", "--wprime", "0"],
             ["membership", "{fixture}", "--xprime", "inf", "--wprime", "0"],
             ["membership", "{fixture}", "--xprime", "0", "--wprime=-inf"],
+            ["analyze", "{nan_x}"],
+            ["analyze", "{inf_w}"],
+            ["derivatives", "{fixture}", "--fd-audit", "0"],
+            ["derivatives", "{fixture}", "--fd-audit=-1"],
+            ["derivatives", "{fixture}", "--fd-audit", "nan"],
+            ["derivatives", "{fixture}", "--fd-audit", "inf"],
         ],
         ids=" ".join,
     )
     def test_bad_setting_is_input_error(self, argv, tmp_path, capsys):
-        nan_delta0 = tmp_path / "nan_delta0.prob"
-        nan_delta0.write_text(
-            pathlib.Path(fixture_path("halfline_quadratic")).read_text()
-            + "\n[probe]\ndelta0 = nan\n"
-        )
-        paths = {"fixture": fixture_path("halfline_quadratic"), "nan_delta0": str(nan_delta0)}
+        base = pathlib.Path(fixture_path("halfline_quadratic")).read_text()
+        variants = {
+            "nan_delta0": base + "\n[probe]\ndelta0 = nan\n",
+            "nan_x": base.replace("x = [0]", "x = [nan]"),
+            "inf_w": base.replace("w = [0]", "w = [inf]"),
+        }
+        paths = {"fixture": fixture_path("halfline_quadratic")}
+        for name, text in variants.items():
+            paths[name] = str(tmp_path / f"{name}.prob")
+            pathlib.Path(paths[name]).write_text(text)
         code, out = run_cli([arg.format(**paths) for arg in argv])
         err = capsys.readouterr().err
         assert code == 2

@@ -4,6 +4,9 @@ import pytest
 from aubincheck.calculus import (
     BOUNDARY,
     DEGENERATE,
+    INTERIOR,
+    NONDEGENERATE,
+    CaseTag,
     EvalPoint,
     ToleranceConfig,
     classify_point,
@@ -13,18 +16,14 @@ from aubincheck.calculus import (
 from aubincheck.conditions import (
     MODE_EXTENDED,
     MODE_STRICT,
-    ConditionMatrices,
-    assemble_matrices,
-    check_degenerate,
-    check_interior,
-    check_nondegenerate,
     coderivative_membership,
+    condition_reports,
     gamma_systems,
     verdict,
 )
 from aubincheck.errors import NotStationary
 from aubincheck.expr import ProblemSpec, parse
-from conftest import PRODUCT_CONSTRAINT_ALT
+from conftest import PRODUCT_CONSTRAINT_ALT, make_bundle
 
 TOL = ToleranceConfig()
 
@@ -42,98 +41,96 @@ def _verdict(problems, name):
     return verdict(pf.spec, pf.point, TOL)
 
 
-def _lam(v):
-    return v.multiplier.lam if v.multiplier is not None else 0.0
-
-
 def _holds(reports):
     return {r.id: r.holds for r in reports}
 
 
+def _table(problems, name):
+    _, b, tag, lam = _case(problems, name)
+    return gamma_systems(b, tag, lam)
+
+
+def _blocks(desc, n, d):
+    """(A1, A2) of a boundary table: the inner branch's first n and last d rows."""
+    M = desc.inner[0].M
+    return M[:n], M[-d:]
+
+
+def _conditions(problems, name):
+    return _holds(condition_reports(_table(problems, name), TOL))
+
+
 class TestAssembleMatrices:
+    """A1 = [Hxx + lam*Fxx | gxF] and A2 = [Hwx + lam*Fwx | gwF] as the case
+    table builds them."""
+
     def test_circle(self, problems):
-        _, b, tag, lam = _case(problems, "circle_boundary")
-        m = assemble_matrices(b, tag, lam)
-        assert np.max(np.abs(m.A1 - np.array([[0.0, 2.0]]))) <= 1e-10
-        assert np.max(np.abs(m.A2 - np.array([[1.0, 2.0]]))) <= 1e-10
+        A1, A2 = _blocks(_table(problems, "circle_boundary"), 1, 1)
+        assert np.max(np.abs(A1 - np.array([[0.0, 2.0]]))) <= 1e-10
+        assert np.max(np.abs(A2 - np.array([[1.0, 2.0]]))) <= 1e-10
 
     def test_moving_plane(self, problems):
-        _, b, tag, lam = _case(problems, "moving_plane")
-        m = assemble_matrices(b, tag, lam)
-        assert np.allclose(m.A1, [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        assert np.allclose(m.A2, [[0.0, 0.0, -1.0]])
+        A1, A2 = _blocks(_table(problems, "moving_plane"), 2, 1)
+        assert np.allclose(A1, [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        assert np.allclose(A2, [[0.0, 0.0, -1.0]])
 
     def test_halfline_quadratic_degenerate(self, problems):
-        _, b, tag, lam = _case(problems, "halfline_quadratic")
-        m = assemble_matrices(b, tag, lam)
-        assert m.degenerate
-        assert np.allclose(m.A1, [[2.0, 1.0]])
-        assert np.allclose(m.A2, [[0.0, 1.0]])
+        desc = _table(problems, "halfline_quadratic")
+        A1, A2 = _blocks(desc, 1, 1)
+        assert desc.case == "degenerate"
+        assert np.allclose(A1, [[2.0, 1.0]])
+        assert np.allclose(A2, [[0.0, 1.0]])
 
     def test_product_constraint_recomputed(self, problems):
         _, b, tag, lam = _case(problems, "product_constraint")
         assert lam == pytest.approx(2.0)
-        m = assemble_matrices(b, tag, lam)
-        assert np.allclose(m.A1, [[-2.0, 1.0]])
-        assert np.allclose(m.A2, [[4.0, 0.0]])
+        A1, A2 = _blocks(gamma_systems(b, tag, lam), 1, 1)
+        assert np.allclose(A1, [[-2.0, 1.0]])
+        assert np.allclose(A2, [[4.0, 0.0]])
 
 
 class TestInteriorConditions:
     def test_bilinear_ball(self, problems):
-        _, b, _, _ = _case(problems, "bilinear_ball")
-        h = _holds(check_interior(b, TOL))
+        h = _conditions(problems, "bilinear_ball")
         assert h == {"C3_2": True, "C3_4": False, "C3_5": False}
 
     def test_cubic_pitchfork(self, problems):
-        _, b, _, _ = _case(problems, "cubic_pitchfork")
-        h = _holds(check_interior(b, TOL))
+        h = _conditions(problems, "cubic_pitchfork")
         assert h == {"C3_2": False, "C3_4": True, "C3_5": False}
 
     def test_trust_region(self, problems):
-        _, b, _, _ = _case(problems, "trust_region")
-        h = _holds(check_interior(b, TOL))
+        h = _conditions(problems, "trust_region")
         assert h == {"C3_2": True, "C3_4": True, "C3_5": True}
 
 
 class TestNondegenerateConditions:
     def test_circle(self, problems):
-        _, b, tag, lam = _case(problems, "circle_boundary")
-        h = _holds(check_nondegenerate(assemble_matrices(b, tag, lam), b.gxF, TOL))
+        h = _conditions(problems, "circle_boundary")
         assert h == {"C4_4": True, "C4_6": True, "C4_8": True}
 
     def test_moving_plane(self, problems):
-        _, b, tag, lam = _case(problems, "moving_plane")
-        h = _holds(check_nondegenerate(assemble_matrices(b, tag, lam), b.gxF, TOL))
+        h = _conditions(problems, "moving_plane")
         assert h == {"C4_4": False, "C4_6": True, "C4_8": False}
 
     def test_product_constraint(self, problems):
-        _, b, tag, lam = _case(problems, "product_constraint")
-        h = _holds(check_nondegenerate(assemble_matrices(b, tag, lam), b.gxF, TOL))
+        h = _conditions(problems, "product_constraint")
         assert h["C4_8"] and h["C4_4"] and h["C4_6"]
 
 
 class TestDegenerateConditions:
     def test_halfline_quadratic_all_hold(self, problems):
-        _, b, tag, lam = _case(problems, "halfline_quadratic")
-        h = _holds(check_degenerate(assemble_matrices(b, tag, lam), b.Hxx, b.Hwx, b.gxF, TOL))
+        h = _conditions(problems, "halfline_quadratic")
         assert all(h[c] for c in ("C4_10", "C4_11a", "C4_11b", "C4_12", "C4_13", "C4_14"))
 
     def test_halfline_bilinear_necessity_fails(self, problems):
-        _, b, tag, lam = _case(problems, "halfline_bilinear")
-        h = _holds(check_degenerate(assemble_matrices(b, tag, lam), b.Hxx, b.Hwx, b.gxF, TOL))
+        h = _conditions(problems, "halfline_bilinear")
         assert not h["C4_14"]
         assert not h["C4_13"]
 
     def test_alt_matrix_fixture_c4_11b_fails(self):
         # The alternative degenerate reading of the product-constraint data.
-        alt = PRODUCT_CONSTRAINT_ALT
-        mats = ConditionMatrices(
-            True, 0.0, np.array(alt["A1_deg"]), np.array(alt["A2_deg"])
-        )
-        Hxx = np.array([[alt["A1_deg"][0][0]]])
-        Hwx = np.array([[alt["A2_deg"][0][0]]])
-        gxF = np.array(alt["gxF"])
-        h = _holds(check_degenerate(mats, Hxx, Hwx, gxF, TOL))
+        desc = gamma_systems(PRODUCT_CONSTRAINT_ALT, CaseTag(BOUNDARY, DEGENERATE), 0.0)
+        h = _holds(condition_reports(desc, TOL))
         assert h["C4_10"] and h["C4_11a"]
         assert not h["C4_11b"]
         assert not h["C4_13"]
@@ -197,6 +194,16 @@ class TestVerdict:
         assert v.lipschitz_like == "Unknown"
         assert any("zero tolerance" in w for w in v.warnings)
 
+    def test_interior_refuted_without_regularity(self):
+        # C3_2, C3_4 and C3_5 all fail: the x2 direction is free and w1 moves
+        # the gradient along x1, so both modes refute via Thm3.1(a).
+        spec = ProblemSpec(2, 1, parse("x1*w1", 2, 1), parse("x1^2 + x2^2 - 1", 2, 1))
+        point = EvalPoint([0.0, 0.0], [0.0])
+        for mode in (MODE_EXTENDED, MODE_STRICT):
+            v = verdict(spec, point, TOL, mode)
+            assert _holds(v.conditions) == {"C3_2": False, "C3_4": False, "C3_5": False}
+            assert (v.lipschitz_like, v.theorem_applied) == ("No", "Thm3.1(a)")
+
     def test_not_stationary_raises(self):
         spec = ProblemSpec(1, 1, parse("x1", 1, 1), parse("x1 - 1", 1, 1))
         with pytest.raises(NotStationary):
@@ -227,12 +234,9 @@ class TestImplicationInvariants:
             M = rng.integers(-3, 4, size=(n, n)).astype(float)
             Hxx = (M + M.T) / 2.0
             Hwx = rng.integers(-3, 4, size=(d, n)).astype(float)
-            from aubincheck.kernel import contained_in_kernel, null_space, stacked_kernel
-
-            c3_2 = stacked_kernel([Hxx, Hwx], TOL).is_trivial
-            c3_4 = contained_in_kernel(null_space(Hxx, TOL), Hwx, TOL)
-            c3_5 = null_space(Hxx, TOL).is_trivial
-            assert c3_5 == (c3_2 and c3_4)
+            desc = gamma_systems(make_bundle(Hxx, Hwx), CaseTag(INTERIOR), 0.0)
+            h = _holds(condition_reports(desc, TOL))
+            assert h["C3_5"] == (h["C3_2"] and h["C3_4"])
 
     def test_boundary_implications_random(self):
         """C4_8 => C4_4 and C4_6; C4_13 => C4_14 on random boundary data."""
@@ -250,19 +254,16 @@ class TestImplicationInvariants:
             while not np.any(gxF):
                 gxF = rng.integers(-3, 4, size=n).astype(float)
             gwF = rng.integers(-3, 4, size=d).astype(float)
+            b = make_bundle(Hxx, Hwx, gxF, gwF, Fxx, Fwx)
             if trial % 2 == 0:
                 lam = float(rng.integers(1, 4))
-                A1 = np.hstack([Hxx + lam * Fxx, gxF[:, None]])
-                A2 = np.hstack([Hwx + lam * Fwx, gwF[:, None]])
-                m = ConditionMatrices(False, lam, A1, A2)
-                h = _holds(check_nondegenerate(m, gxF, TOL))
+                desc = gamma_systems(b, CaseTag(BOUNDARY, NONDEGENERATE), lam)
+                h = _holds(condition_reports(desc, TOL))
                 if h["C4_8"]:
                     assert h["C4_4"] and h["C4_6"]
             else:
-                A1 = np.hstack([Hxx, gxF[:, None]])
-                A2 = np.hstack([Hwx, gwF[:, None]])
-                m = ConditionMatrices(True, 0.0, A1, A2)
-                h = _holds(check_degenerate(m, Hxx, Hwx, gxF, TOL))
+                desc = gamma_systems(b, CaseTag(BOUNDARY, DEGENERATE), 0.0)
+                h = _holds(condition_reports(desc, TOL))
                 assert h["C4_13"] == (
                     h["C4_10"] and h["C4_11a"] and h["C4_11b"] and h["C4_12"]
                 )
@@ -312,7 +313,7 @@ class TestMembership:
         desc_cache = {}
         for pf in problems.values():
             v = verdict(pf.spec, pf.point, TOL)
-            desc = gamma_systems(v.bundle, v.case, _lam(v))
+            desc = v.table
             for _ in range(10):
                 xp = rng.integers(-2, 3, size=pf.spec.n).astype(float)
                 wp = rng.integers(-2, 3, size=pf.spec.d).astype(float)
@@ -373,10 +374,11 @@ class TestTwoDimensionalDegenerate:
         b = derivative_bundle(spec, point)
         tag = classify_point(b, TOL)
         assert (tag.kind, tag.subtag) == (BOUNDARY, DEGENERATE)
-        m = assemble_matrices(b, tag, 0.0)
-        assert np.allclose(m.A1, [[2.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
-        assert np.allclose(m.A2, [[0.0, 0.0, 1.0]])
-        h = _holds(check_degenerate(m, b.Hxx, b.Hwx, b.gxF, TOL))
+        desc = gamma_systems(b, tag, 0.0)
+        A1, A2 = _blocks(desc, 2, 1)
+        assert np.allclose(A1, [[2.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        assert np.allclose(A2, [[0.0, 0.0, 1.0]])
+        h = _holds(condition_reports(desc, TOL))
         # the free x2 direction sits in ker A1' and ker A2': C4_10 fails,
         # but the cone-restricted necessary condition holds via the slice.
         assert h == {

@@ -15,55 +15,27 @@ The corpus is the fixtures plus seeded problems of the benchmark generator
 in both modes.
 """
 
-import pathlib
-import random
-import sys
-
 import numpy as np
 import pytest
 
-from aubincheck.calculus import EvalPoint, ToleranceConfig
+from aubincheck.calculus import ToleranceConfig
 from aubincheck.conditions import (
     MODE_EXTENDED,
     MODE_STRICT,
     coderivative_membership,
-    gamma_systems,
     verdict,
 )
-from aubincheck.expr import ProblemSpec, parse
 from aubincheck.kernel import null_space
-from conftest import FIXTURE_NAMES
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
-import problems as generator  # noqa: E402
+from conftest import BASE_PROBLEMS, FIXTURE_NAMES, GENERATOR_SEEDS
 
 TOL = ToleranceConfig()
-SEEDS = (1, 2)
-BASE_PROBLEMS = 12  # per seed: two of each generator kind
-
-
-def _corpus(problems):
-    cases = [(name, pf.spec, pf.point) for name, pf in problems.items()]
-    for seed in SEEDS:
-        rng = random.Random(seed)
-        for p in generator.generate(seed, BASE_PROBLEMS):
-            for var in generator.variants(p, rng):
-                spec = ProblemSpec(
-                    var.n, var.d, parse(var.f0, var.n, var.d), parse(var.F, var.n, var.d)
-                )
-                cases.append((f"seed{seed}/{var.name}", spec, EvalPoint(var.x, var.w)))
-    return cases
 
 
 def _candidates(v):
     """Nonzero w' with z = ±k solving the inner branch's equations at x' = 0."""
-    lam = v.multiplier.lam if v.multiplier is not None else 0.0
-    branch = gamma_systems(v.bundle, v.case, lam).inner[0]
-    labels = np.concatenate(
-        [np.full(count, label == "w") for label, count in branch.rhs_layout]
-    )
-    K = null_space(branch.M[~labels], TOL).basis
-    W = branch.M[labels]
+    branch = v.table.inner[0]
+    K = null_space(branch.M[: -branch.w_rows], TOL).basis
+    W = branch.M[-branch.w_rows :]
     out = []
     for k in K.T:
         for sign in (1.0, -1.0):
@@ -74,18 +46,18 @@ def _candidates(v):
 
 
 @pytest.fixture(scope="module")
-def verdicts(problems):
+def verdicts(corpus):
     out = []
-    for name, spec, point in _corpus(problems):
+    for e in corpus:
         for mode in (MODE_EXTENDED, MODE_STRICT):
-            out.append((f"{name}/{mode}", verdict(spec, point, TOL, mode)))
+            out.append((f"{e.name}/{mode}", verdict(e.spec, e.point, TOL, mode)))
     return out
 
 
 def test_corpus_has_both_answers(verdicts):
     answers = [v.lipschitz_like for _, v in verdicts]
     assert answers.count("Yes") >= 40 and answers.count("No") >= 40
-    assert len(verdicts) >= 2 * (len(FIXTURE_NAMES) + len(SEEDS) * BASE_PROBLEMS * 3)
+    assert len(verdicts) >= 2 * (len(FIXTURE_NAMES) + len(GENERATOR_SEEDS) * BASE_PROBLEMS * 3)
 
 
 def test_yes_admits_no_nonzero_coderivative_at_zero(verdicts):
