@@ -14,7 +14,7 @@ splits the analysis into the nondegenerate (lambda > 0) and degenerate
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -128,75 +128,84 @@ class DerivativeBundle:
 
 
 class ProblemDerivatives:
-    """Symbolic derivative trees of a problem, built once and reused.
+    """Symbolic derivatives of a problem, built once and reused.
 
     Provides exact gradients/Hessians for bundle evaluation and fast
-    vectorized evaluation for the sampling oracle.
+    vectorized evaluation for the sampling oracle.  Each block is a
+    ``Tape`` of its entries in row-major order: ``f0xx[i*n + j]`` is
+    d^2 f0 / dx_j dx_i and ``f0wx[k*n + i]`` is d^2 f0 / dw_k dx_i.
     """
 
     def __init__(self, spec: ex.ProblemSpec):
         self.spec = spec
-        n, d = spec.n, spec.d
-        xs = [ex.Var("x", i + 1) for i in range(n)]
-        ws = [ex.Var("w", k + 1) for k in range(d)]
-        self.f0x = [ex.differentiate(spec.f0, v) for v in xs]
-        self.Fx = [ex.differentiate(spec.F, v) for v in xs]
-        self.Fw = [ex.differentiate(spec.F, v) for v in ws]
-        self.f0xx = [[ex.differentiate(g, v) for v in xs] for g in self.f0x]
-        self.f0wx = [[ex.differentiate(self.f0x[i], ws[k]) for i in range(n)] for k in range(d)]
-        self.Fxx = [[ex.differentiate(g, v) for v in xs] for g in self.Fx]
-        self.Fwx = [[ex.differentiate(self.Fx[i], ws[k]) for i in range(n)] for k in range(d)]
+        xs = [ex.Var("x", i + 1) for i in range(spec.n)]
+        ws = [ex.Var("w", k + 1) for k in range(spec.d)]
+        memos = {v: {} for v in xs + ws}  # one per variable, shared by f0, F and both orders
+
+        def grad(es, vs):
+            return ex.Tape(ex.differentiate(e, v, memos[v]) for e in es for v in vs)
+
+        self.F_row = ex.Tape((spec.F,))
+        self.f0x = grad([spec.f0], xs)
+        self.Fx = grad([spec.F], xs)
+        self.Fw = grad([spec.F], ws)
+        self.f0xx = grad(self.f0x, xs)
+        self.f0wx = ex.Tape(e for v in ws for e in grad(self.f0x, [v]))
+        self.Fxx = grad(self.Fx, xs)
+        self.Fwx = ex.Tape(e for v in ws for e in grad(self.Fx, [v]))
 
     # -- scalar evaluation ---------------------------------------------------
 
     def bundle(self, point: EvalPoint) -> DerivativeBundle:
         x, w = point.x, point.w
-        spec = self.spec
-        if len(x) != spec.n or len(w) != spec.d:
+        n, d = self.spec.n, self.spec.d
+        if len(x) != n or len(w) != d:
             raise DimensionMismatch(
-                f"point has dimensions ({len(x)}, {len(w)}), problem expects ({spec.n}, {spec.d})"
+                f"point has dimensions ({len(x)}, {len(w)}), problem expects ({n}, {d})"
             )
-        ev = lambda e: ex.evaluate(e, x, w)
-        Hxx = np.array([[ev(e) for e in row] for row in self.f0xx])
-        Fxx = np.array([[ev(e) for e in row] for row in self.Fxx])
+        blocks = (self.F_row, self.f0x, self.f0xx, self.f0wx, self.Fx, self.Fw, self.Fxx, self.Fwx)
+        values = np.array(ex.evaluate([e for b in blocks for e in b], x, w))
+        Fval, gxf0, Hxx, Hwx, gxF, gwF, Fxx, Fwx = np.split(values, np.cumsum([len(b) for b in blocks[:-1]]))
+        Hxx, Fxx = Hxx.reshape(n, n), Fxx.reshape(n, n)
         return DerivativeBundle(
-            n=spec.n,
-            d=spec.d,
-            Fval=ev(spec.F),
-            gxf0=np.array([ev(e) for e in self.f0x]),
+            n=n,
+            d=d,
+            Fval=float(Fval[0]),
+            gxf0=gxf0,
             Hxx=(Hxx + Hxx.T) / 2.0,
-            Hwx=np.array([[ev(e) for e in row] for row in self.f0wx]).reshape(spec.d, spec.n),
-            gxF=np.array([ev(e) for e in self.Fx]),
-            gwF=np.array([ev(e) for e in self.Fw]),
+            Hwx=Hwx.reshape(d, n),
+            gxF=gxF,
+            gwF=gwF,
             Fxx=(Fxx + Fxx.T) / 2.0,
-            Fwx=np.array([[ev(e) for e in row] for row in self.Fwx]).reshape(spec.d, spec.n),
+            Fwx=Fwx.reshape(d, n),
         )
 
     # -- vectorized evaluation over point batches (oracle fast path) ----------
+
+    @cached_property
+    def x_free(self) -> ex.Tape:
+        """The components of grad_x f0 that do not depend on x."""
+        return ex.Tape(t for t in self.f0x if ex.max_indices(t)[0] == 0)
 
     def param_rows(self, w, N: int) -> np.ndarray:
         W = np.empty((self.spec.d, N))
         W[:] = np.asarray(w, dtype=float)[:, None]
         return W
 
-    def eval_rows(self, trees, X: np.ndarray, W: np.ndarray) -> np.ndarray:
-        """Evaluate a list of trees over the batch; returns (len(trees), N).
+    def eval_rows(self, tape: ex.Tape, X: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """Evaluate a tape over the batch; returns (len(tape), N).
 
         X is (n, N) and W is (d, N): each point carries its own parameter.
         """
-        out = np.empty((len(trees), X.shape[1]))
-        for i, t in enumerate(trees):
-            out[i] = ex.eval_array(t, X, W)
+        out = np.empty((len(tape), X.shape[1]))
+        for i, v in enumerate(ex.eval_array(tape, X, W)):
+            out[i] = v
         return out
 
-    def hess_rows(self, trees, X: np.ndarray, W: np.ndarray) -> np.ndarray:
-        """Evaluate an n x n tree table over the batch; returns (N, n, n)."""
+    def hess_rows(self, tape: ex.Tape, X: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """Evaluate a row-major n x n tape over the batch; returns (N, n, n)."""
         n = self.spec.n
-        H = np.empty((X.shape[1], n, n))
-        for i in range(n):
-            for j in range(n):
-                H[:, i, j] = ex.eval_array(trees[i][j], X, W)
-        return H
+        return self.eval_rows(tape, X, W).T.reshape(-1, n, n)
 
 
 @lru_cache(maxsize=64)
@@ -205,7 +214,7 @@ def _derivatives_for(spec: ex.ProblemSpec) -> ProblemDerivatives:
 
 
 def problem_derivatives(spec: ex.ProblemSpec) -> ProblemDerivatives:
-    """Cached symbolic derivative trees for ``spec``."""
+    """Cached symbolic derivatives for ``spec``."""
     return _derivatives_for(spec)
 
 

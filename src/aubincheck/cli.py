@@ -222,11 +222,6 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except RecursionError:
-        # The expression trees are processed recursively, so only an input
-        # nested too deeply reaches the interpreter's recursion limit.
-        print("error: InputError: an expression is nested too deeply to process", file=sys.stderr)
-        return EXIT_INPUT
     except (PreconditionError, DomainError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

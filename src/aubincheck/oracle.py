@@ -45,7 +45,7 @@ from .calculus import (
     problem_derivatives,
 )
 from .errors import DimensionMismatch, GridTooCoarse
-from .expr import ProblemSpec, max_indices
+from .expr import ProblemSpec
 
 __all__ = [
     "GridSpec",
@@ -165,7 +165,7 @@ def _kkt_batch(derivs: ProblemDerivatives, X: np.ndarray, W: np.ndarray, tol: To
     evaluations are treated as out of domain.
     """
     N = X.shape[1]
-    F = derivs.eval_rows([derivs.spec.F], X, W)[0]
+    F = derivs.eval_rows(derivs.F_row, X, W)[0]
     g = derivs.eval_rows(derivs.f0x, X, W)
     thr = tol.tau_act * (1.0 + np.abs(F))
     res = np.full(N, np.inf)
@@ -238,7 +238,7 @@ class _Refiner:
         self.n = derivs.spec.n
         # Components of grad_x f0 free of x: each is a lower bound, fixed by
         # the row's w, on the interior residual ||grad_x f0|| of every iterate.
-        self.x_free = [t for t in derivs.f0x if max_indices(t)[0] == 0]
+        self.x_free = derivs.x_free
 
     def _residual(self, Zc: np.ndarray, W: np.ndarray, branch: str):
         """Branch system values over a (k, m) subset; returns (G, ||G||)."""
@@ -250,7 +250,7 @@ class _Refiner:
         else:
             lam = Zc[:, self.n]
             gF = d.eval_rows(d.Fx, X, W)
-            F = d.eval_rows([d.spec.F], X, W)[0]
+            F = d.eval_rows(d.F_row, X, W)[0]
             G = np.concatenate([(g + lam[None, :] * gF).T, F[:, None]], axis=1)
         G = np.where(np.isfinite(G), G, 1e30)
         return G, np.linalg.norm(G, axis=1)
@@ -569,7 +569,7 @@ def _finish_set(derivs, w, cand, center, grid: GridSpec, tol: ToleranceConfig, w
 
     order = np.lexsort(tuple(pts[:, i] for i in reversed(range(n))))
     pts, rs, ls = pts[order], rs[order], ls[order]
-    Fv = derivs.eval_rows([derivs.spec.F], pts.T, derivs.param_rows(w, pts.shape[0]))[0]
+    Fv = derivs.eval_rows(derivs.F_row, pts.T, derivs.param_rows(w, pts.shape[0]))[0]
     thr = tol.tau_act * (1.0 + np.abs(Fv))
     branches = tuple("boundary" if abs(f) <= t else "interior" for f, t in zip(Fv, thr))
     ls = np.where([b == "boundary" for b in branches], ls, 0.0)

@@ -158,21 +158,34 @@ class TestErrorPaths:
         code, _ = run_cli(["analyze", "/nonexistent/file.prob"])
         assert code == 2
 
-    def test_deep_expression_is_input_error(self, tmp_path, capsys):
-        # A 1000-term sum nests 1000 deep; the recursive tree code reaches the
-        # recursion limit.  The structural fix (an iterative expression DAG)
-        # is ROADMAP item 3; until then the CLI reports an input error.
-        terms = " + ".join(f"{i + 1}*x1^2" for i in range(1000))
+    @staticmethod
+    def _sum_problem(tmp_path, terms: int) -> str:
+        """A problem whose f0 is a flat sum of ``terms`` terms: a left spine
+        ``terms`` nodes deep."""
+        f0 = " + ".join(f"{i + 1}*x1^2" for i in range(terms))
+        p = tmp_path / f"sum{terms}.prob"
+        p.write_text(f'[problem]\nn = 1\nd = 1\nf0 = "{f0}"\nF = "x1 - 1"\n\n[point]\nx = [0]\nw = [0]\n')
+        return str(p)
+
+    def test_long_flat_sum_is_valid(self, tmp_path):
+        code, out = run_cli(["analyze", self._sum_problem(tmp_path, 10_000), "--json"])
+        assert code == 0 and json.loads(out)["verdict"]["lipschitz_like"] == "Yes"
+        path = self._sum_problem(tmp_path, 1000)
+        assert run_cli(["membership", path, "--xprime", "0", "--wprime", "1"])[0] == 0
+        code, out = run_cli(["derivatives", path, "--json"])
+        assert code == 0 and json.loads(out)["bundle"]["Hxx"] == [[1001000.0]]
+
+    @pytest.mark.parametrize("opening, closing", [("(", ")"), ("-", ""), ("sin(", ")")])
+    def test_nesting_past_limit_is_input_error(self, opening, closing, tmp_path, capsys):
+        f0 = opening * 150 + "x1" + closing * 150
         p = tmp_path / "deep.prob"
-        p.write_text(
-            f'[problem]\nn = 1\nd = 1\nf0 = "{terms}"\nF = "x1 - 1"\n\n'
-            "[point]\nx = [0]\nw = [0]\n"
-        )
-        code, _ = run_cli(["analyze", str(p)])
+        p.write_text(f'[problem]\nn = 1\nd = 1\nf0 = "{f0}"\nF = "x1 - 1"\n\n[point]\nx = [0]\nw = [0]\n')
+        code, out = run_cli(["analyze", str(p)])
         err = capsys.readouterr().err
         assert code == 2
-        assert "Traceback" not in err
+        assert out == "" and "Traceback" not in err
         assert err.startswith("error:") and err.count("\n") == 1
+        assert "nests deeper than" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -192,6 +205,7 @@ class TestErrorPaths:
             ["membership", "{fixture}", "--xprime", "0", "--wprime=-inf"],
             ["analyze", "{nan_x}"],
             ["analyze", "{inf_w}"],
+            ["analyze", "{big_literal}"],
             ["derivatives", "{fixture}", "--fd-audit", "0"],
             ["derivatives", "{fixture}", "--fd-audit=-1"],
             ["derivatives", "{fixture}", "--fd-audit", "nan"],
@@ -205,6 +219,7 @@ class TestErrorPaths:
             "nan_delta0": base + "\n[probe]\ndelta0 = nan\n",
             "nan_x": base.replace("x = [0]", "x = [nan]"),
             "inf_w": base.replace("w = [0]", "w = [inf]"),
+            "big_literal": base.replace('f0 = "x1^2"', 'f0 = "1e400*x1 + x1^2"'),
         }
         paths = {"fixture": fixture_path("halfline_quadratic")}
         for name, text in variants.items():

@@ -5,6 +5,14 @@ seeded problems with their metamorphic variants (``conftest.build_corpus``).
   (problem, mode, tau_rank) over the canonical JSON of the case, multiplier,
   condition reports (id, holds, evidence, warnings), answer, theorem and
   warnings.
+* Every ``derivatives --json`` report is pinned, with and without
+  ``--fd-audit 1e-5``: ``golden/derivatives.json`` holds one sha256 of stdout
+  per problem and audit setting.
+* Every derivative block of the bundle agrees with an evaluation of the
+  problem text that shares no code with the program: gradients by the complex
+  step (``bench/checks.Function``), second-order blocks by central
+  differences of those gradients, at the reference pair and at a seeded
+  nearby point.
 * The benchmark's independent checks (``bench/checks.py``, imported read-only)
   hold on each generated problem's ``analyze --json``: case and multiplier
   against a complex-step evaluation of the problem text, case, multiplier and
@@ -15,14 +23,18 @@ seeded problems with their metamorphic variants (``conftest.build_corpus``).
 import hashlib
 import json
 import pathlib
+import random
 
-from aubincheck.calculus import ToleranceConfig
+import numpy as np
+
+from aubincheck.calculus import EvalPoint, ToleranceConfig, derivative_bundle
 from aubincheck.conditions import MODE_EXTENDED, MODE_STRICT, verdict
 from aubincheck.report import dumps_canonical
-from conftest import bench_module
+from conftest import bench_module, fixture_path
 from test_cli import run_cli
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "verdicts.json"
+DERIVATIVES_GOLDEN = GOLDEN.parent / "derivatives.json"
 TAU_RANKS = (1e-6, 1e-9, 1e-12)
 
 
@@ -84,4 +96,98 @@ def test_bench_checks_hold(corpus, tmp_path):
         members.sort(key=lambda m: m[0])
         assert not members[0][0] and len(members) >= 3
         bad += checks.check_metamorphic([m[1:] for m in members])
+    assert not bad, bad
+
+
+def derivatives_digests(corpus, directory) -> dict:
+    """sha256 of ``derivatives --json`` stdout per problem, with and without
+    the finite-difference audit."""
+    out = {}
+    for i, e in enumerate(corpus):
+        if e.variant is None:
+            path = fixture_path(e.name)
+        else:
+            path = directory / f"{i}.prob"
+            path.write_text(e.variant.text())
+        for extra in ((), ("--fd-audit", "1e-5")):
+            code, text = run_cli(["derivatives", str(path), "--json", *extra])
+            assert code == 0, (e.name, extra, code)
+            out[" ".join((e.name, *extra))] = hashlib.sha256(text.encode()).hexdigest()
+    return out
+
+
+def test_derivatives_match_golden(corpus, tmp_path):
+    golden = json.loads(DERIVATIVES_GOLDEN.read_text())
+    digests = derivatives_digests(corpus, tmp_path)
+    assert digests.keys() == golden.keys()
+    changed = sorted(k for k in golden if digests[k] != golden[k])
+    assert not changed, changed
+
+
+_STEP = 1e-30  # complex step
+_H = 1e-5  # central-difference step on the complex-step gradients
+
+
+def _complex_grad(f, x, w, axis: str) -> np.ndarray:
+    """Complex-step gradient of the text function ``f`` in x or in w."""
+    out = []
+    for i in range(len(x if axis == "x" else w)):
+        xc, wc = [complex(t) for t in x], [complex(t) for t in w]
+        (xc if axis == "x" else wc)[i] += 1j * _STEP
+        out.append(f(xc, wc).imag / _STEP)
+    return np.array(out)
+
+
+def _second_block(f, x, w, axis: str) -> np.ndarray:
+    """Rows k: central difference in ``axis``-component k of the x-gradient,
+    i.e. block[k, i] = d^2 f / d(axis)_k dx_i."""
+    rows = []
+    for k in range(len(x if axis == "x" else w)):
+        up, dn = [list(x), list(w)], [list(x), list(w)]
+        a = 0 if axis == "x" else 1
+        up[a][k] += _H
+        dn[a][k] -= _H
+        rows.append((_complex_grad(f, *up, "x") - _complex_grad(f, *dn, "x")) / (2.0 * _H))
+    return np.array(rows)
+
+
+def _bundle_deviations(spec, f0, F, x, w) -> dict:
+    b = derivative_bundle(spec, EvalPoint(x, w))
+    ref = {
+        "gxf0": _complex_grad(f0, x, w, "x"),
+        "gxF": _complex_grad(F, x, w, "x"),
+        "gwF": _complex_grad(F, x, w, "w"),
+        "Hxx": _second_block(f0, x, w, "x"),
+        "Hwx": _second_block(f0, x, w, "w"),
+        "Fxx": _second_block(F, x, w, "x"),
+        "Fwx": _second_block(F, x, w, "w"),
+    }
+    first = ("gxf0", "gxF", "gwF")
+    out = {}
+    for name, r in ref.items():
+        got = getattr(b, name)
+        tol = (1e-9 if name in first else 1e-5) * (1.0 + np.abs(r))
+        out[name] = float(np.max(np.abs(got - r) - tol, initial=-1.0))
+    return out
+
+
+def test_bundle_blocks_match_complex_step(corpus, problems):
+    """Each bundle block against the problem text, at the reference pair and at
+    a seeded point nearby, where the generator's higher-order tail terms
+    contribute to every block."""
+    checks = bench_module("checks")
+    rng = random.Random(8)
+    bad = []
+    for e in corpus:
+        if e.variant is None:
+            texts = problems[e.name].f0_text, problems[e.name].F_text
+        else:
+            texts = e.variant.f0, e.variant.F
+        f0, F = (checks.Function(t) for t in texts)
+        x, w = list(e.point.x), list(e.point.w)
+        near = [t + rng.uniform(-0.4, 0.4) for t in x], [t + rng.uniform(-0.4, 0.4) for t in w]
+        for where, point in (("reference", (x, w)), ("nearby", near)):
+            for name, excess in _bundle_deviations(e.spec, f0, F, *point).items():
+                if excess > 0.0:
+                    bad.append((e.name, where, name, excess))
     assert not bad, bad

@@ -1,8 +1,10 @@
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aubincheck.errors import (
     DomainError,
@@ -11,6 +13,7 @@ from aubincheck.errors import (
     VariableIndexError,
 )
 from aubincheck.expr import (
+    MAX_NESTING,
     Add,
     Call,
     Const,
@@ -87,6 +90,19 @@ class TestParse:
 
     def test_scientific_literals(self):
         assert parse("1e-3", 1, 1) == Const(1e-3)
+
+    def test_literal_out_of_range(self):
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse("x1^2 + 1e400*x1", 1, 1)
+        assert err.value.position == 7
+
+    @pytest.mark.parametrize("opening, closing", [("(", ")"), ("-", ""), ("sin(", ")")])
+    def test_nesting_limit(self, opening, closing):
+        at_limit = opening * MAX_NESTING + "x1" + closing * MAX_NESTING
+        assert max_indices(parse(at_limit, 1, 1)) == (1, 0)
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse(opening + at_limit + closing, 1, 1)
+        assert err.value.position == MAX_NESTING * len(opening)
 
 
 class TestEvaluate:
@@ -280,8 +296,95 @@ def test_nodes_are_immutable():
     e = parse("x1 + 1", 1, 1)
     with pytest.raises(Exception):
         e.a = Const(2.0)
+    with pytest.raises(AttributeError):
+        del e.b
+    with pytest.raises(AttributeError):
+        e.extra = 1
+    assert e.a == Var("x", 1) and e.b == Const(1.0)
 
 
 def test_max_indices():
     e = parse("x2*w3 + x1", 2, 3)
     assert max_indices(e) == (2, 3)
+
+
+# ---------------------------------------------------------------------------
+# The interned DAG and its walks
+# ---------------------------------------------------------------------------
+
+_leaves = st.one_of(
+    st.floats(0.0, 1e6).map(lambda v: Const(abs(v))),
+    st.builds(Var, st.sampled_from("xw"), st.integers(1, 2)),
+)
+
+
+def _extend(children):
+    return st.one_of(
+        st.builds(lambda op, a, b: op(a, b), st.sampled_from([Add, Sub, Mul, Div]), children, children),
+        st.builds(Pow, children, st.integers(0, 4)),
+        st.builds(Neg, children),
+        st.builds(Call, st.sampled_from(["sin", "cos", "exp", "ln", "sqrt"]), children),
+    )
+
+
+_trees = st.recursive(_leaves, _extend, max_leaves=12)
+_small_trees = st.recursive(_leaves, _extend, max_leaves=3)
+
+
+@st.composite
+def _spines(draw, ops=(Add, Sub, Mul, Div, Neg, Call)):
+    """A left spine thousands deep: a short pattern of steps repeated,
+    each step applying one operation to the expression so far."""
+    e = draw(_trees)
+    steps = draw(st.lists(st.tuples(st.sampled_from(ops), _small_trees), min_size=1, max_size=4))
+    for i in range(draw(st.integers(1000, 3000))):
+        op, t = steps[i % len(steps)]
+        e = Neg(e) if op is Neg else Call("sin", e) if op is Call else op(e, t)
+    return e
+
+
+# Spines of one precedence class render without parentheses on the spine,
+# so they stay within the parser's nesting limit.
+_flat_spines = st.one_of(_spines(ops=(Add, Sub)), _spines(ops=(Mul, Div)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(_trees, _flat_spines))
+def test_render_parse_identity(e):
+    assert parse(render(e), 2, 2) is e
+
+
+@settings(max_examples=15, deadline=None)
+@given(_spines())
+def test_walks_on_deep_spines(e):
+    X = np.array([[0.3, -0.7], [1.1, 0.2]])
+    W = np.array([[0.5, 0.5], [-0.4, 0.9]])
+    for v in (Var("x", 1), Var("w", 2)):
+        de = differentiate(e, v)
+        values = eval_array([e, de], X, W)
+        assert len(values) == 2
+        assert np.shape(np.broadcast_to(values[1], (2,))) == (2,)
+    assert max_indices(e)[0] <= 2
+
+
+def test_deep_spine_values_are_exact():
+    terms = 3000
+    e = parse(" + ".join(f"{i + 1}*x1^2" for i in range(terms)), 1, 1)
+    d2 = differentiate(differentiate(e, Var("x", 1)), Var("x", 1))
+    total = terms * (terms + 1)  # 2 * (1 + ... + terms)
+    assert evaluate(d2, [0.5], [0.0]) == total
+    d1 = differentiate(e, Var("x", 1))
+    assert np.array_equal(eval_array(d1, np.array([[0.5, -2.0]]), np.array([[0.0, 0.0]])), [total / 2, -2 * total])
+    assert evaluate([e, d2], [1.0], [0.0]) == [total / 2, total]
+
+
+def test_interning():
+    assert parse("x1*w1 + sin(x1)", 1, 1) is parse("x1 * w1+sin( x1 )", 1, 1)
+    assert Const(0.0) is not Const(-0.0)
+    assert Const(0) is Const(0.0) and type(Const(2).value) is float
+    assert Add(Var("x", 1), Const(1.0)) is parse("x1 + 1", 1, 1)
+
+
+def test_intern_table_holds_nodes_weakly():
+    ref = weakref.ref(parse("x1 + 987.125", 1, 1))
+    assert ref() is None
