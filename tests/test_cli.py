@@ -175,17 +175,19 @@ class TestErrorPaths:
         code, out = run_cli(["derivatives", path, "--json"])
         assert code == 0 and json.loads(out)["bundle"]["Hxx"] == [[1001000.0]]
 
-    @pytest.mark.parametrize("opening, closing", [("(", ")"), ("-", ""), ("sin(", ")")])
-    def test_nesting_past_limit_is_input_error(self, opening, closing, tmp_path, capsys):
-        f0 = opening * 150 + "x1" + closing * 150
-        p = tmp_path / "deep.prob"
-        p.write_text(f'[problem]\nn = 1\nd = 1\nf0 = "{f0}"\nF = "x1 - 1"\n\n[point]\nx = [0]\nw = [0]\n')
-        code, out = run_cli(["analyze", str(p)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert out == "" and "Traceback" not in err
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert "nests deeper than" in err
+    def test_deep_expression_is_input_error(self, tmp_path, capsys):
+        # Nesting past the parser's limit, by parentheses, unary minus or
+        # function calls, is an input error reported on one line.
+        for opening, closing in [("(", ")"), ("-", ""), ("sin(", ")")]:
+            f0 = opening * 150 + "x1" + closing * 150
+            p = tmp_path / "deep.prob"
+            p.write_text(f'[problem]\nn = 1\nd = 1\nf0 = "{f0}"\nF = "x1 - 1"\n\n[point]\nx = [0]\nw = [0]\n')
+            code, out = run_cli(["analyze", str(p)])
+            err = capsys.readouterr().err
+            assert code == 2, opening
+            assert out == "" and "Traceback" not in err
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "nests deeper than" in err
 
     @pytest.mark.parametrize(
         "argv",
