@@ -13,6 +13,7 @@ splits the analysis into the nondegenerate (lambda > 0) and degenerate
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -65,18 +66,12 @@ class ToleranceConfig:
     tau_col: float = 1e-8
 
     def __post_init__(self):
-        for name in ("tau_act", "tau_zero", "tau_stat", "tau_rank", "tau_col"):
-            if not _finite_positive(getattr(self, name)):
-                raise ValueError(f"{name} must be finite and strictly positive")
+        for f in dataclasses.fields(self):
+            if not _finite_positive(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite and strictly positive")
 
     def as_dict(self) -> dict:
-        return {
-            "tau_act": self.tau_act,
-            "tau_zero": self.tau_zero,
-            "tau_stat": self.tau_stat,
-            "tau_rank": self.tau_rank,
-            "tau_col": self.tau_col,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,14 @@ carried from the evaluation that accepted its iterate.  On the interior
 branch, a component of grad_x f0 without x bounds the residual below at
 every iterate, so rows where it exceeds the acceptance bar are returned
 unconverged without a step.  The report is unchanged by all three.
+
+One rule, in ``_accepted``, decides which refined points are stationary,
+for set sampling and the distance polish alike: a converged row counts when
+its first-order residual is at most ACCEPT_RESIDUAL, it lies within r_x
+plus one grid spacing of the centre, and on the boundary branch
+lam >= -tau_zero.  The residual evaluation that accepts a point also labels
+its branch.  A set's points are deduplicated in half-spacing cells, each
+keeping its smallest-residual point.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from .calculus import (
     EvalPoint,
     ProblemDerivatives,
     ToleranceConfig,
+    _activity_threshold,
     _finite_positive,
     problem_derivatives,
 )
@@ -167,7 +176,7 @@ def _kkt_batch(derivs: ProblemDerivatives, X: np.ndarray, W: np.ndarray, tol: To
     N = X.shape[1]
     F = derivs.eval_rows(derivs.F_row, X, W)[0]
     g = derivs.eval_rows(derivs.f0x, X, W)
-    thr = tol.tau_act * (1.0 + np.abs(F))
+    thr = _activity_threshold(F, tol)
     res = np.full(N, np.inf)
     lam = np.zeros(N)
 
@@ -253,7 +262,10 @@ class _Refiner:
             F = d.eval_rows(d.F_row, X, W)[0]
             G = np.concatenate([(g + lam[None, :] * gF).T, F[:, None]], axis=1)
         G = np.where(np.isfinite(G), G, 1e30)
-        return G, np.linalg.norm(G, axis=1)
+        # A huge finite entry squares to inf; the line search and the stall
+        # test reject that norm.
+        with np.errstate(over="ignore"):
+            return G, np.linalg.norm(G, axis=1)
 
     def _jacobian(self, Zc: np.ndarray, W: np.ndarray, branch: str) -> np.ndarray:
         d = self.derivs
@@ -370,6 +382,33 @@ class _Refiner:
         return points, lams, rnorm <= max(self.grid.tau_newton, ACCEPT_RESIDUAL)
 
 
+def _accepted(refiner: _Refiner, seeds: np.ndarray, W: np.ndarray):
+    """Refine seeds (N, n) at parameters W (d, N) on each branch and yield
+    the rows that count as stationary points.
+
+    A converged row is accepted when its first-order residual is at most
+    ACCEPT_RESIDUAL, it lies within r_x plus one grid spacing of the centre,
+    and, on the boundary branch, lam >= -tau_zero.  Yields, per branch,
+    (rows, points, residuals, lambdas, boundary) of the accepted rows.  The
+    residual evaluation that accepts a row also gives its boundary label;
+    lam is max(lam, 0) on the boundary and 0 in the interior.
+    """
+    grid, tol = refiner.grid, refiner.tol
+    reach = grid.r_x + grid.spacing(refiner.n)
+    for branch in ("interior", "boundary"):
+        pts, lams, conv = refiner.run(seeds, W, branch)
+        rows = np.flatnonzero(conv)
+        if rows.size == 0:
+            continue
+        pts, lams = pts[rows], lams[rows]
+        res, _, bmask, _ = _kkt_batch(refiner.derivs, pts.T, W[:, rows], tol)
+        ok = (res <= ACCEPT_RESIDUAL) & (np.max(np.abs(pts - refiner.center), axis=1) <= reach)
+        if branch == "boundary":
+            ok &= lams >= -tol.tau_zero
+        lams = np.where(bmask, np.maximum(lams, 0.0), 0.0)
+        yield rows[ok], pts[ok], res[ok], lams[ok], bmask[ok]
+
+
 # ---------------------------------------------------------------------------
 # Stationary set sampling
 # ---------------------------------------------------------------------------
@@ -381,21 +420,23 @@ def _build_grid(center: np.ndarray, grid: GridSpec, n: int) -> np.ndarray:
     return np.vstack([a.ravel() for a in mesh])  # (n, m^n)
 
 
+def _axis_neighbors(n: int):
+    """(lo, hi) index pairs of an n-dimensional grid, one per axis: hi[...]
+    is the next neighbor of lo[...] along that axis."""
+    for ax in range(n):
+        lo = tuple(slice(None, -1) if i == ax else slice(None) for i in range(n))
+        hi = tuple(slice(1, None) if i == ax else slice(None) for i in range(n))
+        yield lo, hi
+
+
 def _local_minima(res: np.ndarray, n: int, m: int) -> np.ndarray:
     """Indices of grid points whose residual is <= every axis neighbor's."""
-    finite = np.isfinite(res)
-    if n == 1:
-        ok = finite.copy()
-        ok[1:] &= res[1:] <= res[:-1]
-        ok[:-1] &= res[:-1] <= res[1:]
-        return np.flatnonzero(ok)
-    R = res.reshape(m, m)
+    R = res.reshape((m,) * n)
     ok = np.isfinite(R)
-    ok[1:, :] &= R[1:, :] <= R[:-1, :]
-    ok[:-1, :] &= R[:-1, :] <= R[1:, :]
-    ok[:, 1:] &= R[:, 1:] <= R[:, :-1]
-    ok[:, :-1] &= R[:, :-1] <= R[:, 1:]
-    return np.flatnonzero(ok.ravel())
+    for lo, hi in _axis_neighbors(n):
+        ok[lo] &= R[lo] <= R[hi]
+        ok[hi] &= R[hi] <= R[lo]
+    return np.flatnonzero(ok)
 
 
 def _with_neighbors(idx: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -403,9 +444,7 @@ def _with_neighbors(idx: np.ndarray, n: int, m: int) -> np.ndarray:
     hit = np.zeros((m,) * n, dtype=bool)
     hit.reshape(-1)[idx] = True
     out = hit.copy()
-    for ax in range(n):
-        lo = tuple(slice(None, -1) if i == ax else slice(None) for i in range(n))
-        hi = tuple(slice(1, None) if i == ax else slice(None) for i in range(n))
+    for lo, hi in _axis_neighbors(n):
         out[lo] |= hit[hi]
         out[hi] |= hit[lo]
     return np.flatnonzero(out)
@@ -472,19 +511,20 @@ def _sample_sets(
 def _scan_grid(derivs: ProblemDerivatives, X: np.ndarray, w: np.ndarray, grid: GridSpec, tol: ToleranceConfig):
     """Grid scan of one set: (w, candidates, seeds, seed_direct).
 
-    The candidates are three lists (points, residuals, lambdas) that start
-    with the grid points accepted as they are; seed_direct marks the seeds
-    that are such points.
+    The candidates are four lists (points, residuals, lambdas, boundary
+    masks) that start with the grid points accepted as they are;
+    seed_direct marks the seeds that are such points.
     """
     n = derivs.spec.n
     m = grid.resolve_points(n)
     res, lam_grid, boundary_mask, _ = _kkt_batch(derivs, X, derivs.param_rows(w, X.shape[1]), tol)
     direct = np.flatnonzero(res <= ACCEPT_RESIDUAL)
-    cand = ([], [], [])
+    cand = ([], [], [], [])
     if direct.size:
-        cand[0].append(X[:, direct].T)
-        cand[1].append(res[direct])
-        cand[2].append(np.where(boundary_mask[direct], lam_grid[direct], 0.0))
+        bmask = boundary_mask[direct]
+        parts = (X[:, direct].T, res[direct], np.where(bmask, lam_grid[direct], 0.0), bmask)
+        for lst, part in zip(cand, parts):
+            lst.append(part)
 
     seeds_idx = _with_neighbors(_local_minima(res, n, m), n, m)
     seeds_idx = seeds_idx[np.isfinite(res[seeds_idx])]
@@ -497,35 +537,19 @@ def _scan_grid(derivs: ProblemDerivatives, X: np.ndarray, w: np.ndarray, grid: G
 
 def _refine_group(derivs: ProblemDerivatives, group: list, center: np.ndarray, grid: GridSpec, tol: ToleranceConfig) -> list:
     """Refine the seeds of scanned sets in one batch; returns their SampleSets."""
-    spacing = grid.spacing(derivs.spec.n)
     counts = [seeds.shape[0] for _, _, seeds, _ in group]
     first = np.concatenate([[0], np.cumsum(counts)])
     all_seeds = np.vstack([seeds for _, _, seeds, _ in group])
     W = np.repeat(np.asarray([w for w, _, _, _ in group], dtype=float).T, counts, axis=1)
-    refiner = _Refiner(derivs, grid, tol, center)
     produced = np.zeros(all_seeds.shape[0], dtype=bool)
-    for branch in ("interior", "boundary"):
-        pts, lams, conv = refiner.run(all_seeds, W, branch)
-        if not np.any(conv):
-            continue
-        rows = np.flatnonzero(conv)
-        pts, lams = pts[conv], lams[conv]
-        final, _, bmask, _ = _kkt_batch(derivs, pts.T, W[:, conv], tol)
-        in_box = np.max(np.abs(pts - center[None, :]), axis=1) <= grid.r_x + spacing
-        ok = (final <= ACCEPT_RESIDUAL) & in_box
-        if branch == "boundary":
-            ok &= lams >= -tol.tau_zero
-        produced[rows[ok]] = True
-        lam_ok = np.where(bmask, np.maximum(lams, 0.0), 0.0)
+    for rows, *parts in _accepted(_Refiner(derivs, grid, tol, center), all_seeds, W):
+        produced[rows] = True
         # Rows stay grouped by set, so each set's accepted rows are a slice.
-        rows, pts, final, lam_ok = rows[ok], pts[ok], final[ok], lam_ok[ok]
         cut = np.searchsorted(rows, first)
         for j, (_, cand, _, _) in enumerate(group):
-            sl = slice(cut[j], cut[j + 1])
-            if sl.start < sl.stop:
-                cand[0].append(pts[sl])
-                cand[1].append(final[sl])
-                cand[2].append(lam_ok[sl])
+            if cut[j] < cut[j + 1]:
+                for lst, part in zip(cand, parts):
+                    lst.append(part[cut[j] : cut[j + 1]])
 
     sets = []
     for j, (w, cand, _, seed_direct) in enumerate(group):
@@ -539,41 +563,26 @@ def _refine_group(derivs: ProblemDerivatives, group: list, center: np.ndarray, g
             )
             warn = (msg,)
             _warnings.warn(msg, GridTooCoarse, stacklevel=4)
-        sets.append(_finish_set(derivs, w, cand, center, grid, tol, warn))
+        sets.append(_finish_set(w, cand, center, grid, warn))
     return sets
 
 
-def _finish_set(derivs, w, cand, center, grid: GridSpec, tol: ToleranceConfig, warn: tuple) -> SampleSet:
-    """Deduplicate one set's accepted points and classify their branches."""
-    n = derivs.spec.n
+def _finish_set(w, cand, center: np.ndarray, grid: GridSpec, warn: tuple) -> SampleSet:
+    """Deduplicate one set's accepted points; each keeps the branch label of
+    the residual evaluation that accepted it."""
+    n = center.shape[0]
     if not cand[0]:
         return SampleSet(tuple(w), np.empty((0, n)), np.empty(0), np.empty(0), (), warn)
-    spacing = grid.spacing(n)
-    pts = np.vstack(cand[0])
-    rs = np.concatenate(cand[1])
-    ls = np.concatenate(cand[2])
+    pts, rs, ls, bm = (np.concatenate(c) for c in cand)
 
-    # Deduplicate within spacing/2: bucket to half-spacing cells, keep the
-    # smallest-residual representative of each cell, deterministically.
+    # Deduplicate within spacing/2: bucket to half-spacing cells and keep the
+    # first point of each cell in (residual, x) order, its smallest residual.
     order = np.lexsort(tuple(pts[:, i] for i in reversed(range(n))) + (rs,))
-    pts, rs, ls = pts[order], rs[order], ls[order]
-    cells = np.floor((pts - (center - grid.r_x)[None, :]) / (spacing / 2.0) + 0.5).astype(int)
-    keep_idx = {}
-    for i in range(pts.shape[0]):
-        key = tuple(cells[i])
-        j = keep_idx.get(key)
-        if j is None or rs[i] < rs[j]:
-            keep_idx[key] = i
-    keep = sorted(keep_idx.values())
-    pts, rs, ls = pts[keep], rs[keep], ls[keep]
-
-    order = np.lexsort(tuple(pts[:, i] for i in reversed(range(n))))
-    pts, rs, ls = pts[order], rs[order], ls[order]
-    Fv = derivs.eval_rows(derivs.F_row, pts.T, derivs.param_rows(w, pts.shape[0]))[0]
-    thr = tol.tau_act * (1.0 + np.abs(Fv))
-    branches = tuple("boundary" if abs(f) <= t else "interior" for f, t in zip(Fv, thr))
-    ls = np.where([b == "boundary" for b in branches], ls, 0.0)
-    return SampleSet(tuple(w), pts, rs, ls, branches, warn)
+    cells = np.floor((pts[order] - (center - grid.r_x)) / (grid.spacing(n) / 2.0) + 0.5).astype(int)
+    keep = order[np.unique(cells, axis=0, return_index=True)[1]]
+    keep = keep[np.lexsort(tuple(pts[keep, i] for i in reversed(range(n))))]
+    branches = tuple("boundary" if b else "interior" for b in bm[keep])
+    return SampleSet(tuple(w), pts[keep], rs[keep], ls[keep], branches, warn)
 
 
 # ---------------------------------------------------------------------------
@@ -590,14 +599,7 @@ class LevelStats:
     worst_pair: dict | None
 
     def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "n_pairs": self.n_pairs,
-            "n_ratio_pairs": self.n_ratio_pairs,
-            "worst_ratio": self.worst_ratio,
-            "empty_value_events": self.empty_value_events,
-            "worst_pair": self.worst_pair,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -670,7 +672,7 @@ def _relative_radii(level: int, samples: int) -> list:
     return (ladder + bulk + filler)[:samples]
 
 
-def _set_distances(queries: list, polisher: _Refiner, grid: GridSpec) -> list:
+def _set_distances(queries: list, polisher: _Refiner) -> list:
     """Distance from each row of xps to the nonempty set target, for every
     (xps, target) query.
 
@@ -681,24 +683,14 @@ def _set_distances(queries: list, polisher: _Refiner, grid: GridSpec) -> list:
     """
     if not queries:
         return []
-    derivs, tol = polisher.derivs, polisher.tol
     xps = np.vstack([q for q, _ in queries])
-    W = np.concatenate([derivs.param_rows(t.w, q.shape[0]) for q, t in queries], axis=1)
+    W = np.concatenate([polisher.derivs.param_rows(t.w, q.shape[0]) for q, t in queries], axis=1)
     dists = np.concatenate([
         np.min(np.linalg.norm(q[:, None, :] - t.points[None, :, :], axis=2), axis=1)
         for q, t in queries
     ])
-    for branch in ("interior", "boundary"):
-        pts, lams, conv = polisher.run(xps, W, branch)
-        if not np.any(conv):
-            continue
-        final, _, _, _ = _kkt_batch(derivs, pts.T, W, tol)
-        ok = conv & (final <= ACCEPT_RESIDUAL)
-        if branch == "boundary":
-            ok &= lams >= -tol.tau_zero
-        ok &= np.max(np.abs(pts - polisher.center[None, :]), axis=1) <= grid.r_x + grid.spacing(polisher.n)
-        cand = np.linalg.norm(pts - xps, axis=1)
-        dists = np.where(ok, np.minimum(dists, cand), dists)
+    for rows, pts, _, _, _ in _accepted(polisher, xps, W):
+        dists[rows] = np.minimum(dists[rows], np.linalg.norm(pts - xps[rows], axis=1))
     return np.split(dists, np.cumsum([q.shape[0] for q, _ in queries])[:-1])
 
 
@@ -793,7 +785,7 @@ def aubin_probe(
                 continue
             measured.append((base, pert, dist_w, near))
             queries.append((near, S_base))
-        pair_dists = iter(_set_distances(queries, polisher, grid))
+        pair_dists = iter(_set_distances(queries, polisher))
 
         n_ratio_pairs = 0
         events = 0

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .calculus import EvalPoint, ToleranceConfig
 from .errors import InputError
@@ -25,9 +25,9 @@ from .oracle import GridSpec, ProbeConfig
 
 __all__ = ["ProblemFile", "load_problem"]
 
-_TOL_KEYS = ("tau_act", "tau_zero", "tau_stat", "tau_rank", "tau_col")
-_GRID_KEYS = ("r_x", "points_per_axis", "newton_cap", "tau_newton")
-_PROBE_KEYS = ("delta0", "levels", "samples", "rho_u", "growth", "blowup", "ratio_floor", "seed")
+_TOL_KEYS, _GRID_KEYS, _PROBE_KEYS = (
+    tuple(f.name for f in fields(cls)) for cls in (ToleranceConfig, GridSpec, ProbeConfig)
+)
 _INT_KEYS = ("n", "d", "points_per_axis", "newton_cap", "levels", "samples", "seed")
 
 

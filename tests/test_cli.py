@@ -2,7 +2,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -369,11 +372,38 @@ class TestProbeCommand:
         b = run_cli(["probe", fixture_path("halfline_bilinear"), "--json"])
         assert a == b
 
+    def test_overflow_leaves_stderr_empty(self, tmp_path):
+        # A huge finite exp(x1) on a Newton path squares to inf inside the
+        # residual norm; numpy must not print a RuntimeWarning for it.
+        p = tmp_path / "overflow.prob"
+        p.write_text(
+            '[problem]\nn = 2\nd = 2\n'
+            'f0 = "exp(x1) - x1 + x2^2 - w1*x1 - w2*x2"\nF = "x1^2 + x2^2 - 4"\n\n'
+            "[point]\nx = [0, 0]\nw = [0, 0]\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(GOLDEN_DIR.parent.parent / "src"))
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "aubincheck.cli", "probe", str(p), "--json"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["probe"]["flag"] == "Consistent"
+
     # sha256 of `probe --csv`: the rows follow the order in which the probe
     # first requests each stationary set, so a reordering shows here.
+    # The CSV is the only output that shows each point's branch, lambda and
+    # residual.
     CSV_SHA256 = {
-        "quartic_cuberoot": "d24fcf9446604df27b0342aabc3e7e032aa606f08b344c4ffa8f2f9623afb8a8",
+        "bilinear_ball": "ad1b0f1e2ecdea7bb94d6ef56400d275f37d773447d86a24864085a22e9a0322",
+        "circle_boundary": "394957a3be2ba3187471c78a16f16af18e2d413f91b8b4d28c620e6087ff9bb5",
+        "cubic_pitchfork": "d4caeb9cdd24e4ca82e72cf3d8fc2f69b9b98189e656e3be5b9c6e08f9315cc0",
+        "halfline_bilinear": "66451fa9330fce70711cce320b9541c81c44e313337e8098801701883fff699a",
+        "halfline_quadratic": "14c1c0686e9320b173d04b8d488fbab98b6ca0b7162de8bbd82ab541acd42d28",
         "moving_plane": "b6edc7e5800dd761c4eb7c558d52063b2b5dbae7e81c9b357abc6ba428b1f84a",
+        "product_constraint": "e90d55bbd1ec7d46b3f42f791e659be79e7b6db18847ae7a79f2f9bc6dce5be3",
+        "quartic_cuberoot": "d24fcf9446604df27b0342aabc3e7e032aa606f08b344c4ffa8f2f9623afb8a8",
     }
 
     @pytest.mark.parametrize("name", PROBEABLE)
@@ -382,9 +412,8 @@ class TestProbeCommand:
         code, out = run_cli(["probe", fixture_path(name), "--json", "--csv", str(csv_path)])
         assert code == 0
         assert out == (GOLDEN_DIR / f"{name}_probe.json").read_text()
-        if name in self.CSV_SHA256:
-            digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
-            assert digest == self.CSV_SHA256[name]
+        digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+        assert digest == self.CSV_SHA256[name]
 
 
 class TestDerivativesCommand:

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from aubincheck import oracle
-from aubincheck.calculus import EvalPoint, ToleranceConfig, problem_derivatives
+from aubincheck.calculus import INTERIOR, EvalPoint, ToleranceConfig, problem_derivatives
+from aubincheck.conditions import MODE_EXTENDED, MODE_STRICT, verdict
 from aubincheck.errors import DimensionMismatch, GridTooCoarse
 from aubincheck.expr import ProblemSpec, max_indices, parse
 from aubincheck.oracle import (
@@ -225,10 +226,10 @@ class TestBatchedSampling:
             for w in (0.0, 0.001, -0.002, 0.004, -0.0005)
         ]
         queries = [(p.points, b) for p in sets for b in sets if p is not b]
-        batch = oracle._set_distances(queries, polisher, pf.grid)
+        batch = oracle._set_distances(queries, polisher)
         assert len(batch) == len(queries)
         for q, dists in zip(queries, batch):
-            assert np.array_equal(oracle._set_distances([q], polisher, pf.grid)[0], dists)
+            assert np.array_equal(oracle._set_distances([q], polisher)[0], dists)
 
 
 class TestNewtonPath:
@@ -317,6 +318,51 @@ class TestAubinProbe:
         pf = problems["trust_region"]
         with pytest.raises(DimensionMismatch):
             aubin_probe(pf.spec, pf.point, pf.probe, pf.grid, TOL)
+
+
+class TestImplicitFunctionCase:
+    """An interior point with invertible Hxx: the stationary map is the
+    implicit function x(w) = -Hxx^-1 Hwx^T w near it, so the verdict is Yes
+    and every probed ratio is the modulus |Hxx^-1 Hwx^T|."""
+
+    @pytest.mark.parametrize(
+        "n, f0, F, modulus",
+        [
+            (1, "x1^2 - w1*x1", "x1 - 1", 0.5),
+            (2, "x1^2 + x1*x2 + x2^2 - w1*x2", "x1 + x2 - 1", math.sqrt(5.0) / 3.0),
+        ],
+    )
+    def test_yes_and_consistent(self, n, f0, F, modulus):
+        spec = ProblemSpec(n, 1, parse(f0, n, 1), parse(F, n, 1))
+        point = EvalPoint([0.0] * n, [0.0])
+        for mode in (MODE_EXTENDED, MODE_STRICT):
+            v = verdict(spec, point, TOL, mode)
+            assert v.case.kind == INTERIOR
+            assert (v.lipschitz_like, v.theorem_applied) == ("Yes", "Thm3.1(b,c)")
+        r = aubin_probe(spec, point, ProbeConfig(), GridSpec(), TOL)
+        assert r.flag == "Consistent"
+        assert r.warnings == ()
+        for lv in r.levels:
+            assert lv.empty_value_events == 0
+            assert lv.worst_ratio == pytest.approx(modulus, rel=1e-9)
+
+
+class TestOverflowIsQuiet:
+    # exp(x1) overflows far out on a Newton path; the squared residual then
+    # is inf, which the line search rejects without a numpy warning.
+    SPEC = ProblemSpec(
+        2,
+        2,
+        parse("exp(x1) - x1 + x2^2 - w1*x1 - w2*x2", 2, 2),
+        parse("x1^2 + x2^2 - 4", 2, 2),
+    )
+
+    def test_probe_raises_no_runtime_warning(self):
+        point = EvalPoint([0.0, 0.0], [0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            r = aubin_probe(self.SPEC, point, ProbeConfig(), GridSpec(), TOL)
+        assert r.flag == "Consistent"
 
 
 class TestCsvDump:
