@@ -16,10 +16,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 
 from .calculus import derivative_bundle
 from .conditions import MODE_EXTENDED, MODE_STRICT, coderivative_membership, verdict
-from .errors import DomainError, InputError, PreconditionError
+from .errors import DomainError, GridTooCoarse, InputError, PreconditionError
 from .oracle import aubin_probe, write_samples_csv
 from .problemfile import ProblemFile, load_problem
 from .report import (
@@ -130,9 +131,14 @@ def cmd_probe(args) -> int:
         )
         return EXIT_CAPABILITY
     v = verdict(pf.spec, pf.point, pf.tolerances, MODE_EXTENDED)
-    report = aubin_probe(
-        pf.spec, pf.point, pf.probe, pf.grid, pf.tolerances, keep_samples=args.csv is not None
-    )
+    # The report's warnings go to stderr as plain lines, once each.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GridTooCoarse)
+        report = aubin_probe(
+            pf.spec, pf.point, pf.probe, pf.grid, pf.tolerances, keep_samples=args.csv is not None
+        )
+    for msg in report.warnings:
+        print(f"warning: {msg}", file=sys.stderr)
     if args.csv is not None:
         write_samples_csv(report.samples, args.csv, pf.spec.n, pf.spec.d)
     _emit(args, analysis_document("probe", pf, v, probe=report))

@@ -226,10 +226,56 @@ def kkt_residual(spec: ProblemSpec, x, w, tol: ToleranceConfig = ToleranceConfig
 # 0.6 MiB more (+0.8 against +0.2 MiB over sampling one set at a time).
 _CHUNK_ROWS = 512
 
+# A Newton Jacobian J (m x m) is solved by its adjugate when |det J| >
+# _DET_TAU * ||J||_F^m, which implies sigma_min / sigma_max > _DET_TAU.  That is
+# 1000x above pinv's rcond of 1e-15, so no row pinv would truncate is inverted.
+_DET_TAU = 1e-12
+
+
+def _cofactors(A: np.ndarray):
+    """Cofactor matrix and determinant of each A[:, :, k] (m x m, m <= 3),
+    for A (m, m, N)."""
+    m = A.shape[0]
+    if m == 1:
+        C = np.ones_like(A)
+    elif m == 2:
+        C = A[::-1, ::-1] * np.array([[[1.0], [-1.0]], [[-1.0], [1.0]]])
+    else:
+        # Entry (i, j) from rows i+1, i+2 and columns j+1, j+2, taken
+        # cyclically, which also gives each cofactor its sign.
+        E = A[np.ix_([0, 1, 2, 0, 1], [0, 1, 2, 0, 1])]
+        C = E[1:4, 1:4] * E[2:5, 2:5] - E[1:4, 2:5] * E[2:5, 1:4]
+    t = A[0] * C[0]  # expansion along the first row
+    return C, sum(t[1:], t[0])
+
+
+def _transpose_times(M: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """M^T·G per row for M (m, m, N) and G (N, m), as (m, N); the sum runs
+    in index order, so each row's bits depend on that row alone."""
+    prod = M * G.T[:, None, :]
+    return sum(prod[1:], prod[0])
+
 
 def _pinv_step(J: np.ndarray, G: np.ndarray) -> np.ndarray:
-    # Least-squares Newton step, batched; singular Jacobians yield short steps.
-    return -np.einsum("nij,nj->ni", np.linalg.pinv(J), G)
+    """Newton step -J^-1 G per row, batched, for J (N, m, m) with m <= 3.
+
+    Rows that pass the det test of _DET_TAU are solved by the adjugate,
+    after scaling J by its largest entry so no cofactor over- or underflows.
+    The rest, all-zero rows included, take pinv's least-squares step, so
+    singular Jacobians yield short steps.
+    """
+    m = J.shape[1]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s = np.max(np.abs(J), axis=(1, 2))
+        A = np.divide(J.transpose(1, 2, 0), s, order="C")
+        C, det = _cofactors(A)
+        sq = (A * A).reshape(m * m, -1)
+        ok = np.abs(det) > _DET_TAU * sum(sq[1:], sq[0]) ** (m / 2)
+        step = (-_transpose_times(C, G) / det / s).T
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            step[bad] = -_transpose_times(np.linalg.pinv(J[bad]).transpose(2, 1, 0), G[bad]).T
+    return step
 
 
 class _Refiner:
@@ -356,10 +402,7 @@ class _Refiner:
                 break
             Za, Wa, base = Z[active], W[:, active], rnorm[active]
             J = self._jacobian(Za, Wa, branch)
-            # The einsum in _pinv_step sums in an order set by G's memory
-            # layout, and the step's last bit with it: keep the Fortran order
-            # that _residual returns.
-            step = _pinv_step(J, np.asfortranarray(G[active]))
+            step = _pinv_step(J, G[active])
             alpha, cand, Gc, rn_new = self._line_search(Za, Wa, step, base, branch)
 
             stalled = (rn_new >= base * (1.0 - 1e-12)) | (
@@ -579,7 +622,9 @@ def _finish_set(w, cand, center: np.ndarray, grid: GridSpec, warn: tuple) -> Sam
     # first point of each cell in (residual, x) order, its smallest residual.
     order = np.lexsort(tuple(pts[:, i] for i in reversed(range(n))) + (rs,))
     cells = np.floor((pts[order] - (center - grid.r_x)) / (grid.spacing(n) / 2.0) + 0.5).astype(int)
-    keep = order[np.unique(cells, axis=0, return_index=True)[1]]
+    cells -= cells.min(axis=0)
+    key = np.ravel_multi_index(tuple(cells.T), tuple(cells.max(axis=0) + 1))
+    keep = order[np.unique(key, return_index=True)[1]]
     keep = keep[np.lexsort(tuple(pts[keep, i] for i in reversed(range(n))))]
     branches = tuple("boundary" if b else "interior" for b in bm[keep])
     return SampleSet(tuple(w), pts[keep], rs[keep], ls[keep], branches, warn)

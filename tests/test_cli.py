@@ -391,18 +391,34 @@ class TestProbeCommand:
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["probe"]["flag"] == "Consistent"
 
+    def test_probe_warnings_are_plain_lines(self):
+        # GridTooCoarse reaches stderr as "warning: <message>", one line per
+        # report warning, without the location of the warning call.
+        env = dict(os.environ, PYTHONPATH=str(GOLDEN_DIR.parent.parent / "src"))
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "aubincheck.cli", "probe", fixture_path("halfline_bilinear"), "--json"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == (GOLDEN_DIR / "halfline_bilinear_probe.json").read_text()
+        warnings = json.loads(proc.stdout)["probe"]["warnings"]
+        assert warnings
+        assert proc.stderr == "".join(f"warning: {msg}\n" for msg in warnings)
+        assert ".py:" not in proc.stderr
+
     # sha256 of `probe --csv`: the rows follow the order in which the probe
     # first requests each stationary set, so a reordering shows here.
     # The CSV is the only output that shows each point's branch, lambda and
     # residual.
     CSV_SHA256 = {
         "bilinear_ball": "ad1b0f1e2ecdea7bb94d6ef56400d275f37d773447d86a24864085a22e9a0322",
-        "circle_boundary": "394957a3be2ba3187471c78a16f16af18e2d413f91b8b4d28c620e6087ff9bb5",
+        "circle_boundary": "46ba45af0a06cc1c08639b926430bc6b4f873880ceec7a4e1842c611fb313136",
         "cubic_pitchfork": "d4caeb9cdd24e4ca82e72cf3d8fc2f69b9b98189e656e3be5b9c6e08f9315cc0",
         "halfline_bilinear": "66451fa9330fce70711cce320b9541c81c44e313337e8098801701883fff699a",
-        "halfline_quadratic": "14c1c0686e9320b173d04b8d488fbab98b6ca0b7162de8bbd82ab541acd42d28",
-        "moving_plane": "b6edc7e5800dd761c4eb7c558d52063b2b5dbae7e81c9b357abc6ba428b1f84a",
-        "product_constraint": "e90d55bbd1ec7d46b3f42f791e659be79e7b6db18847ae7a79f2f9bc6dce5be3",
+        "halfline_quadratic": "c8d095f1bf20798744388a1754004c2116204b5cf9cc70319fd892a8de80b963",
+        "moving_plane": "1e8cd50b1c0e4dd6d8d55a61e23bb596f48d21133465405aec8663d04e3f146b",
+        "product_constraint": "fe3fd20cf0924496ac9a9fd8c44a48d98d5e9e2ff831b9ccdffa2e87be59be1f",
         "quartic_cuberoot": "d24fcf9446604df27b0342aabc3e7e032aa606f08b344c4ffa8f2f9623afb8a8",
     }
 

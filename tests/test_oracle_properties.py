@@ -1,12 +1,14 @@
-"""Property tests of the oracle's grid helpers."""
+"""Property tests of the oracle's grid helpers and Newton step."""
+
+import warnings
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from aubincheck.oracle import _local_minima, _with_neighbors  # noqa: E402
+from aubincheck.oracle import _DET_TAU, _local_minima, _pinv_step, _with_neighbors  # noqa: E402
 
 
 def neighbors_by_unique(idx: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -90,3 +92,86 @@ def test_local_minima_matches_loop(case):
     got = _local_minima(res, n, m)
     want = local_minima_by_loop(res, n, m)
     assert np.array_equal(got, want)
+
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def jacobian_rows(draw, m):
+    """One symmetric m x m Jacobian: well conditioned, nearly or exactly
+    singular, or all zero, at scale 1, 1e200 or 1e-200."""
+    kind = draw(st.sampled_from(["well", "near", "rank", "zero"]))
+    B = np.array(draw(st.lists(st.floats(-1, 1), min_size=m * m, max_size=m * m))).reshape(m, m)
+    Q, _ = np.linalg.qr(B + 2 * np.eye(m))
+    lam = np.array(draw(st.lists(st.floats(0.1, 10), min_size=m, max_size=m)))
+    lam *= np.array(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=m, max_size=m)))
+    if kind == "near":
+        lam[: draw(st.integers(1, m))] *= 10.0 ** -draw(st.integers(4, 17))
+    J = Q @ np.diag(lam) @ Q.T
+    J = (J + J.T) / 2
+    if kind == "rank":  # an exactly zero row and column, as on a residual plateau
+        J[-1, :] = J[:, -1] = 0.0
+    if kind == "zero":
+        J[:] = 0.0
+    return J * draw(st.sampled_from([1.0, 1e200, 1e-200]))
+
+
+@st.composite
+def newton_batches(draw):
+    m = draw(st.sampled_from([1, 2, 3]))
+    k = draw(st.integers(1, 8))
+    J = np.array(draw(st.lists(jacobian_rows(m), min_size=k, max_size=k)))
+    g = st.floats(-1, 1, allow_subnormal=False)
+    G = np.array(draw(st.lists(g, min_size=k * m, max_size=k * m))).reshape(k, m)
+    return J, G
+
+
+def _batch(rows, G):
+    return np.array(rows, dtype=float), np.array(G, dtype=float)
+
+
+@settings(deadline=None)
+@given(newton_batches())
+@example(_batch([[[0.0]], [[2.0]]], [[1.0], [1.0]]))
+@example(_batch([[[0.0, 0.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]], [[2.0, 1.0], [1.0, 3.0]]],
+                [[1.0, 0.5], [1.0, -1.0], [0.5, 0.25]]))
+@example(_batch([[[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]],
+                 [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 0.0]],
+                 [[1e200, 0.0, 0.0], [0.0, 1e200, 1e200], [0.0, 1e200, 0.0]]],
+                [[1.0, 2.0, 3.0], [1.0, -1.0, 0.5], [1.0, 1.0, 1.0]]))
+def test_newton_step_matches_pinv(batch):
+    """Rows that pass the det test get the adjugate step, within a bound set
+    by kappa = ||J||_F^m / |det J| >= cond(J); the rest get pinv's step.
+
+    The test cannot see which rows passed, so it sorts rows by kappa with a
+    factor-10 margin on either side of 1 / _DET_TAU: rows clearly above must
+    carry pinv's step to rounding of its matrix-vector product, rows below
+    must lie within the kappa bound (pinv's own step does too), and rows in
+    the margin may take either.  Each row's step is also that of the row
+    alone, bit for bit.
+    """
+    J, G = batch
+    m = J.shape[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        step = _pinv_step(J, G)
+        alone = [_pinv_step(J[i : i + 1], G[i : i + 1])[0] for i in range(J.shape[0])]
+    assert step.shape == G.shape
+    for i in range(J.shape[0]):
+        assert np.array_equal(alone[i], step[i], equal_nan=True)
+        P = np.linalg.pinv(J[i])
+        ref = -(P @ G[i])
+        pinv_err = 4 * m * EPS * (np.abs(P) @ np.abs(G[i]))
+        scale = np.max(np.abs(J[i]))
+        sigma = np.linalg.svd(J[i] / scale, compute_uv=False) if scale > 0 else np.zeros(m)
+        det = np.prod(sigma)
+        kappa = np.sum(sigma**2) ** (m / 2) / det if det > 0 else np.inf
+        err = np.abs(step[i] - ref)
+        close_to_pinv = np.all(err <= pinv_err)
+        if kappa > 10 / _DET_TAU:
+            assert close_to_pinv, (J[i], G[i], step[i], ref)
+        else:
+            within_kappa = np.all(err <= 64 * m * EPS * kappa * np.max(np.abs(ref)))
+            in_margin = kappa >= 0.1 / _DET_TAU
+            assert within_kappa or (in_margin and close_to_pinv), (J[i], G[i], step[i], ref, kappa)
