@@ -178,9 +178,11 @@ class ProblemDerivatives:
     # -- vectorized evaluation over point batches (oracle fast path) ----------
 
     @cached_property
-    def x_free(self) -> ex.Tape:
-        """The components of grad_x f0 that do not depend on x."""
-        return ex.Tape(t for t in self.f0x if ex.max_indices(t)[0] == 0)
+    def boundary_system(self) -> ex.Tape:
+        """The boundary branch's equations grad_x f0 + lam grad_x F and F,
+        in the oracle's order of operations, with lam as x_{n+1}."""
+        lam = ex.Var("x", self.spec.n + 1)
+        return ex.Tape([*(ex.Add(g, ex.Mul(lam, gF)) for g, gF in zip(self.f0x, self.Fx)), self.spec.F])
 
     def param_rows(self, w, N: int) -> np.ndarray:
         W = np.empty((self.spec.d, N))

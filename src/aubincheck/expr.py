@@ -27,7 +27,7 @@ import re
 import weakref
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import count
 from typing import Union
 
@@ -43,7 +43,7 @@ from .errors import (
 
 __all__ = [
     "Expression", "Const", "Var", "Add", "Sub", "Mul", "Div", "Pow", "Neg", "Call", "ProblemSpec",
-    "Tape", "parse", "evaluate", "eval_array", "differentiate", "render", "max_indices",
+    "Tape", "parse", "evaluate", "eval_array", "eval_interval", "differentiate", "render", "max_indices",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
@@ -435,10 +435,103 @@ _SCALAR = {
 }
 _BATCH = {
     **_COMMON,
+    Const: lambda e, val, x, w: np.float64(e.value),  # 0/0 of constants gives NaN, not ZeroDivisionError
     Var: lambda e, val, x, w: (x if e.axis == "x" else w)[e.index - 1],
     Div: lambda e, val, x, w: val[e.a] / val[e.b],
     Pow: lambda e, val, x, w: np.power(val[e.base], e.exponent),
     Call: lambda e, val, x, w: _UFUNC[e.fn](val[e.a]),
+}
+
+
+# Interval mode: every value is a pair (lo, hi) of arrays.  Each op rounds its
+# bounds outward, so an enclosure holds the exact values over the box and,
+# since rounding is monotone, the float values _BATCH computes at its points.
+# A NaN bound (inf - inf, inf / inf) becomes the whole line.
+_INF = math.inf
+# Relative error allowed for np.power and the functions, far above their few
+# ulps; the absolute floor covers subnormal results.
+_FN_SLACK = 1e-14
+_FN_FLOOR = 1e-300
+# sin and cos: absolute allowance, and the phase of a maximum (a minimum lies
+# pi later).  Beyond |x| = 2^20 the phase test is not trusted: [-1, 1].
+_TRIG_SLACK = 1e-14
+_TRIG_PEAK = {"sin": math.pi / 2, "cos": 0.0}
+_TRIG_REACH = 2.0**20
+
+
+def _outward(lo, hi, slack=0.0):
+    if slack:
+        lo = lo - (np.abs(lo) + _FN_FLOOR) * slack
+        hi = hi + (np.abs(hi) + _FN_FLOOR) * slack
+    lo, hi = np.nextafter(lo, -_INF), np.nextafter(hi, _INF)
+    return np.where(np.isnan(lo), -_INF, lo), np.where(np.isnan(hi), _INF, hi)
+
+
+def _hull(values):
+    return _outward(reduce(np.minimum, values), reduce(np.maximum, values))
+
+
+def _times(a, b):
+    """a*b with 0*inf = 0, as for the sets the bounds stand for."""
+    return np.where((a == 0.0) | (b == 0.0), 0.0, a * b)
+
+
+def _interval_mul(e, val, x, w):
+    (al, ah), (bl, bh) = val[e.a], val[e.b]
+    return _hull([_times(al, bl), _times(al, bh), _times(ah, bl), _times(ah, bh)])
+
+
+def _interval_div(e, val, x, w):
+    (al, ah), (bl, bh) = val[e.a], val[e.b]
+    lo, hi = _hull([al / bl, al / bh, ah / bl, ah / bh])
+    pole = (bl <= 0.0) & (bh >= 0.0)
+    return np.where(pole, -_INF, lo), np.where(pole, _INF, hi)
+
+
+def _interval_pow(e, val, x, w):
+    lo, hi = val[e.base]
+    k = e.exponent
+    if k == 0:
+        return np.float64(1.0), np.float64(1.0)
+    a, b = np.power(lo, k), np.power(hi, k)
+    if k % 2:
+        return _outward(a, b, _FN_SLACK)
+    low = np.where(lo >= 0.0, a, np.where(hi <= 0.0, b, 0.0))
+    return _outward(low, np.maximum(a, b), _FN_SLACK)
+
+
+def _interval_call(e, val, x, w):
+    lo, hi = val[e.a]
+    fn = _UFUNC[e.fn]
+    if e.fn in _TRIG_PEAK:
+        a, b = fn(lo), fn(hi)
+        peak = _TRIG_PEAK[e.fn]
+        wide = ~(np.maximum(np.abs(lo), np.abs(hi)) <= _TRIG_REACH)  # NaN too
+
+        def holds(phase):  # some phase + 2*pi*k lies in [lo, hi]
+            return np.floor((hi - phase) / (2.0 * math.pi)) * (2.0 * math.pi) + phase >= lo
+
+        return (
+            np.where(wide | holds(peak + math.pi), -1.0, np.minimum(a, b) - _TRIG_SLACK),
+            np.where(wide | holds(peak), 1.0, np.maximum(a, b) + _TRIG_SLACK),
+        )
+    lo_out, hi_out = _outward(fn(lo), fn(hi), _FN_SLACK)
+    if e.fn == "exp":
+        return lo_out, hi_out
+    off = ~(lo > 0.0) if e.fn == "ln" else ~(lo >= 0.0)  # domain left, or NaN
+    return np.where(off, -_INF, lo_out), np.where(off, _INF, hi_out)
+
+
+_INTERVAL = {
+    Const: lambda e, val, x, w: (np.float64(e.value),) * 2,
+    Var: lambda e, val, x, w: tuple(b[e.index - 1] for b in (x if e.axis == "x" else w)),
+    Add: lambda e, val, x, w: _outward(val[e.a][0] + val[e.b][0], val[e.a][1] + val[e.b][1]),
+    Sub: lambda e, val, x, w: _outward(val[e.a][0] - val[e.b][1], val[e.a][1] - val[e.b][0]),
+    Mul: _interval_mul,
+    Div: _interval_div,
+    Pow: _interval_pow,
+    Neg: lambda e, val, x, w: (-val[e.a][1], -val[e.a][0]),
+    Call: _interval_call,
 }
 
 
@@ -467,6 +560,21 @@ def eval_array(roots, x: np.ndarray, w: np.ndarray):
     single = isinstance(roots, _Node)
     with np.errstate(all="ignore"):
         out = _run((roots,) if single else roots, _BATCH, np.asarray(x), np.asarray(w))
+    return out[0] if single else out
+
+
+def eval_interval(roots, x, w):
+    """Enclosures of an expression, or a sequence of them, over boxes.
+
+    ``x`` and ``w`` are (lo, hi) pairs of arrays shaped like the arguments of
+    ``eval_array``.  Each result is a (lo, hi) pair that holds every value
+    other than NaN that ``eval_array`` computes at a point of the box, and
+    the exact one.  Where an argument leaves the domain (ln, sqrt, division
+    by an interval holding 0) the enclosure is the whole line.
+    """
+    single = isinstance(roots, _Node)
+    with np.errstate(all="ignore"):
+        out = _run((roots,) if single else roots, _INTERVAL, x, w)
     return out[0] if single else out
 
 

@@ -21,10 +21,14 @@ The refiner does only work that can change a result.  Its line search
 evaluates the full step for every row and, for the rows it does not
 improve enough, all ten halvings in one batch; each row keeps the halving
 a one-at-a-time backtracking loop would stop at.  Each row's residual is
-carried from the evaluation that accepted its iterate.  On the interior
-branch, a component of grad_x f0 without x bounds the residual below at
-every iterate, so rows where it exceeds the acceptance bar are returned
-unconverged without a step.  The report is unchanged by all three.
+carried from the evaluation that accepted its iterate.  And once per
+sampled parameter, each branch system is enclosed by interval arithmetic
+over the acceptance box (see ``_empty_branches``); where an equation's
+enclosure excludes the convergence bar, no row at that parameter can be
+accepted on that branch, so those rows are returned unconverged without a
+step, in set sampling and in the distance polish alike.  The report is
+unchanged by all three, except that a set whose two branches are both
+certified empty reports no diverged seeds.
 
 One rule, in ``_accepted``, decides which refined points are stationary,
 for set sampling and the distance polish alike: a converged row counts when
@@ -54,7 +58,7 @@ from .calculus import (
     problem_derivatives,
 )
 from .errors import DimensionMismatch, GridTooCoarse
-from .expr import ProblemSpec
+from .expr import ProblemSpec, eval_interval
 
 __all__ = [
     "GridSpec",
@@ -72,6 +76,8 @@ __all__ = [
 # A grid/Newton point counts as stationary when its first-order residual is
 # below this bar (absolute; the problems are desk-scale).
 ACCEPT_RESIDUAL = 1e-9
+
+_BRANCHES = ("interior", "boundary")
 
 _GOLDEN = 0.6180339887498949
 _PLASTIC = 0.7548776662466927
@@ -153,6 +159,7 @@ class SampleSet:
     lambdas: np.ndarray
     branches: tuple  # "interior" | "boundary" per point
     warnings: tuple = ()
+    certified_empty: tuple = ()  # branches with provably no root in the box
 
     def __len__(self):
         return self.points.shape[0]
@@ -231,6 +238,10 @@ _CHUNK_ROWS = 512
 # 1000x above pinv's rcond of 1e-15, so no row pinv would truncate is inverted.
 _DET_TAU = 1e-12
 
+# Relative allowance of the empty-branch certificate for the rounding of the
+# residual norm and of the acceptance box test.
+_ROUNDING = 1e-12
+
 
 def _cofactors(A: np.ndarray):
     """Cofactor matrix and determinant of each A[:, :, k] (m x m, m <= 3),
@@ -291,9 +302,6 @@ class _Refiner:
         self.tol = tol
         self.center = center
         self.n = derivs.spec.n
-        # Components of grad_x f0 free of x: each is a lower bound, fixed by
-        # the row's w, on the interior residual ||grad_x f0|| of every iterate.
-        self.x_free = derivs.x_free
 
     def _residual(self, Zc: np.ndarray, W: np.ndarray, branch: str):
         """Branch system values over a (k, m) subset; returns (G, ||G||)."""
@@ -329,22 +337,14 @@ class _Refiner:
         J[:, n, :n] = gF
         return np.where(np.isfinite(J), J, 0.0)
 
-    def run(self, seeds: np.ndarray, W: np.ndarray, branch: str):
+    def run(self, seeds: np.ndarray, W: np.ndarray, branch: str, skip: np.ndarray):
         """Refine seeds (N, n) at parameters W (d, N); returns (points,
-        lambdas, converged_mask).
-
-        On the interior branch, rows where an x-free component of grad_x f0
-        exceeds the acceptance bar cannot converge; they are returned as
-        seeds, unconverged, without a Newton step.  The factor 2 covers the
-        rounding of the norm, and the negated test also drops NaN.
+        lambdas, converged_mask).  The rows in the mask ``skip`` are returned
+        as seeds, unconverged, without a Newton step.
         """
         N = seeds.shape[0]
         points, lams, conv = seeds.copy(), np.zeros(N), np.zeros(N, dtype=bool)
-        live = np.arange(N)
-        if branch == "interior" and self.x_free:
-            bar = 2.0 * max(self.grid.tau_newton, ACCEPT_RESIDUAL)
-            g = self.derivs.eval_rows(self.x_free, seeds.T, W)
-            live = np.flatnonzero(np.all(np.abs(g) <= bar, axis=0))
+        live = np.flatnonzero(~skip)
         for s in range(0, live.size, _CHUNK_ROWS):
             rows = live[s : s + _CHUNK_ROWS]
             points[rows], lams[rows], conv[rows] = self._run(seeds[rows], W[:, rows], branch)
@@ -425,9 +425,45 @@ class _Refiner:
         return points, lams, rnorm <= max(self.grid.tau_newton, ACCEPT_RESIDUAL)
 
 
-def _accepted(refiner: _Refiner, seeds: np.ndarray, W: np.ndarray):
+def _empty_branches(derivs: ProblemDerivatives, W: np.ndarray, center: np.ndarray, grid: GridSpec, tol: ToleranceConfig) -> list:
+    """The branches certified to hold no acceptable root, per parameter: a
+    tuple of branch names for each column of W (d, K).
+
+    A row is accepted only if its branch system converged, each equation at
+    most bar = max(tau_newton, ACCEPT_RESIDUAL) in size, at a point within
+    r_x plus one grid spacing of the centre, and on the boundary with
+    lam >= -tau_zero.  Each equation is enclosed over that box (lam as
+    x_{n+1}); a branch is certified empty at a parameter when some enclosure
+    excludes [-bar, bar].  The enclosures hold the float values the refiner
+    computes, and _ROUNDING covers the norm and the box test.
+    """
+    n = derivs.spec.n
+    reach = (grid.r_x + grid.spacing(n)) * (1.0 + _ROUNDING)
+    box = (
+        np.nextafter(np.append(center - reach, -tol.tau_zero), -np.inf)[:, None],
+        np.nextafter(np.append(center + reach, np.inf), np.inf)[:, None],
+    )
+    bar = max(grid.tau_newton, ACCEPT_RESIDUAL) * (1.0 + _ROUNDING)
+    masks = []
+    for tape in (derivs.f0x, derivs.boundary_system):
+        empty = np.zeros(W.shape[1], dtype=bool)
+        for lo, hi in eval_interval(tape, box, (W, W)):
+            empty |= (lo > bar) | (hi < -bar)
+        masks.append(empty)
+    return [tuple(b for b, m in zip(_BRANCHES, col) if m) for col in zip(*masks)]
+
+
+def _skip_masks(empty: list, counts) -> dict:
+    """Per branch, the rows to skip for consecutive blocks of ``counts``
+    rows, the j-th at a parameter whose certified-empty branches are
+    ``empty[j]``."""
+    return {b: np.repeat([b in e for e in empty], counts) for b in _BRANCHES}
+
+
+def _accepted(refiner: _Refiner, seeds: np.ndarray, W: np.ndarray, skip: dict):
     """Refine seeds (N, n) at parameters W (d, N) on each branch and yield
-    the rows that count as stationary points.
+    the rows that count as stationary points; the rows in ``skip[branch]``
+    are not refined on that branch.
 
     A converged row is accepted when its first-order residual is at most
     ACCEPT_RESIDUAL, it lies within r_x plus one grid spacing of the centre,
@@ -438,8 +474,8 @@ def _accepted(refiner: _Refiner, seeds: np.ndarray, W: np.ndarray):
     """
     grid, tol = refiner.grid, refiner.tol
     reach = grid.r_x + grid.spacing(refiner.n)
-    for branch in ("interior", "boundary"):
-        pts, lams, conv = refiner.run(seeds, W, branch)
+    for branch in _BRANCHES:
+        pts, lams, conv = refiner.run(seeds, W, branch, skip[branch])
         rows = np.flatnonzero(conv)
         if rows.size == 0:
             continue
@@ -537,11 +573,13 @@ def _sample_sets(
     own.  The Newton seeds of consecutive sets are refined in one batch, each
     row at its own set's parameter; a batch closes before it would exceed
     ``_CHUNK_ROWS`` seeds, so only a few sets are held unrefined at a time.
+    The empty-branch certificates of all the sets come from one call.
     """
     X = _build_grid(center, grid, derivs.spec.n)
+    empty = _empty_branches(derivs, np.asarray(ws, dtype=float).T, center, grid, tol)
     sets, group, rows = [], [], 0
-    for w in ws:
-        scan = _scan_grid(derivs, X, w, grid, tol)
+    for w, e in zip(ws, empty):
+        scan = _scan_grid(derivs, X, w, grid, tol) + (e,)
         n_seeds = scan[2].shape[0]
         if group and rows + n_seeds > _CHUNK_ROWS:
             sets += _refine_group(derivs, group, center, grid, tol)
@@ -579,26 +617,32 @@ def _scan_grid(derivs: ProblemDerivatives, X: np.ndarray, w: np.ndarray, grid: G
 
 
 def _refine_group(derivs: ProblemDerivatives, group: list, center: np.ndarray, grid: GridSpec, tol: ToleranceConfig) -> list:
-    """Refine the seeds of scanned sets in one batch; returns their SampleSets."""
-    counts = [seeds.shape[0] for _, _, seeds, _ in group]
+    """Refine the seeds of scanned sets in one batch; returns their SampleSets.
+
+    Each scan is (w, candidates, seeds, seed_direct, certified-empty
+    branches).  A set whose two branches are certified empty has no seed to
+    refine, so none counts as diverged.
+    """
+    ws, cands, seeds, seed_direct, empty = zip(*group)
+    counts = [s.shape[0] for s in seeds]
     first = np.concatenate([[0], np.cumsum(counts)])
-    all_seeds = np.vstack([seeds for _, _, seeds, _ in group])
-    W = np.repeat(np.asarray([w for w, _, _, _ in group], dtype=float).T, counts, axis=1)
-    produced = np.zeros(all_seeds.shape[0], dtype=bool)
-    for rows, *parts in _accepted(_Refiner(derivs, grid, tol, center), all_seeds, W):
+    W = np.repeat(np.asarray(ws, dtype=float).T, counts, axis=1)
+    skip = _skip_masks(empty, counts)
+    produced = np.zeros(W.shape[1], dtype=bool)
+    for rows, *parts in _accepted(_Refiner(derivs, grid, tol, center), np.vstack(seeds), W, skip):
         produced[rows] = True
         # Rows stay grouped by set, so each set's accepted rows are a slice.
         cut = np.searchsorted(rows, first)
-        for j, (_, cand, _, _) in enumerate(group):
+        for j, cand in enumerate(cands):
             if cut[j] < cut[j + 1]:
                 for lst, part in zip(cand, parts):
                     lst.append(part[cut[j] : cut[j + 1]])
 
     sets = []
-    for j, (w, cand, _, seed_direct) in enumerate(group):
+    for j, w in enumerate(ws):
         warn = ()
-        seed_ok = produced[first[j] : first[j + 1]] | seed_direct
-        n_diverged = int(np.sum(~seed_ok))
+        seed_ok = produced[first[j] : first[j + 1]] | seed_direct[j]
+        n_diverged = int(np.sum(~seed_ok)) if len(empty[j]) < len(_BRANCHES) else 0
         if n_diverged > 0.1 * counts[j]:
             msg = (
                 f"Newton refinement diverged for {n_diverged}/{counts[j]} seeds; "
@@ -606,16 +650,16 @@ def _refine_group(derivs: ProblemDerivatives, group: list, center: np.ndarray, g
             )
             warn = (msg,)
             _warnings.warn(msg, GridTooCoarse, stacklevel=4)
-        sets.append(_finish_set(w, cand, center, grid, warn))
+        sets.append(_finish_set(w, cands[j], center, grid, warn, empty[j]))
     return sets
 
 
-def _finish_set(w, cand, center: np.ndarray, grid: GridSpec, warn: tuple) -> SampleSet:
+def _finish_set(w, cand, center: np.ndarray, grid: GridSpec, warn: tuple, empty: tuple) -> SampleSet:
     """Deduplicate one set's accepted points; each keeps the branch label of
     the residual evaluation that accepted it."""
     n = center.shape[0]
     if not cand[0]:
-        return SampleSet(tuple(w), np.empty((0, n)), np.empty(0), np.empty(0), (), warn)
+        return SampleSet(tuple(w), np.empty((0, n)), np.empty(0), np.empty(0), (), warn, empty)
     pts, rs, ls, bm = (np.concatenate(c) for c in cand)
 
     # Deduplicate within spacing/2: bucket to half-spacing cells and keep the
@@ -627,7 +671,7 @@ def _finish_set(w, cand, center: np.ndarray, grid: GridSpec, warn: tuple) -> Sam
     keep = order[np.unique(key, return_index=True)[1]]
     keep = keep[np.lexsort(tuple(pts[keep, i] for i in reversed(range(n))))]
     branches = tuple("boundary" if b else "interior" for b in bm[keep])
-    return SampleSet(tuple(w), pts[keep], rs[keep], ls[keep], branches, warn)
+    return SampleSet(tuple(w), pts[keep], rs[keep], ls[keep], branches, warn, empty)
 
 
 # ---------------------------------------------------------------------------
@@ -724,19 +768,21 @@ def _set_distances(queries: list, polisher: _Refiner) -> list:
     Uses the sampled points plus a local Newton polish started from each
     query point at its target's parameter; grid-only distances overestimate
     by up to half the spacing.  The rows of all queries are polished in one
-    batch.
+    batch, and skip the branches their target's sampling certified empty.
     """
     if not queries:
         return []
     xps = np.vstack([q for q, _ in queries])
+    counts = [q.shape[0] for q, _ in queries]
     W = np.concatenate([polisher.derivs.param_rows(t.w, q.shape[0]) for q, t in queries], axis=1)
     dists = np.concatenate([
         np.min(np.linalg.norm(q[:, None, :] - t.points[None, :, :], axis=2), axis=1)
         for q, t in queries
     ])
-    for rows, pts, _, _, _ in _accepted(polisher, xps, W):
+    skip = _skip_masks([t.certified_empty for _, t in queries], counts)
+    for rows, pts, _, _, _ in _accepted(polisher, xps, W, skip):
         dists[rows] = np.minimum(dists[rows], np.linalg.norm(pts - xps[rows], axis=1))
-    return np.split(dists, np.cumsum([q.shape[0] for q, _ in queries])[:-1])
+    return np.split(dists, np.cumsum(counts)[:-1])
 
 
 def aubin_probe(
@@ -942,7 +988,7 @@ def write_samples_csv(samples, path, n: int, d: int):
         for s in samples:
             for i in range(len(s)):
                 writer.writerow(
-                    [repr(v) for v in s.w]
+                    [repr(float(v)) for v in s.w]
                     + [repr(float(v)) for v in s.points[i]]
                     + [repr(float(s.residuals[i])), s.branches[i], repr(float(s.lambdas[i]))]
                 )

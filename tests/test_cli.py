@@ -397,11 +397,11 @@ class TestProbeCommand:
         env = dict(os.environ, PYTHONPATH=str(GOLDEN_DIR.parent.parent / "src"))
         env.pop("PYTHONWARNINGS", None)
         proc = subprocess.run(
-            [sys.executable, "-m", "aubincheck.cli", "probe", fixture_path("halfline_bilinear"), "--json"],
+            [sys.executable, "-m", "aubincheck.cli", "probe", fixture_path("quartic_cuberoot"), "--json"],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0
-        assert proc.stdout == (GOLDEN_DIR / "halfline_bilinear_probe.json").read_text()
+        assert proc.stdout == (GOLDEN_DIR / "quartic_cuberoot_probe.json").read_text()
         warnings = json.loads(proc.stdout)["probe"]["warnings"]
         assert warnings
         assert proc.stderr == "".join(f"warning: {msg}\n" for msg in warnings)
@@ -410,16 +410,17 @@ class TestProbeCommand:
     # sha256 of `probe --csv`: the rows follow the order in which the probe
     # first requests each stationary set, so a reordering shows here.
     # The CSV is the only output that shows each point's branch, lambda and
-    # residual.
+    # residual.  Every number is written as repr of a Python float, so the
+    # text does not depend on the numpy version.
     CSV_SHA256 = {
-        "bilinear_ball": "ad1b0f1e2ecdea7bb94d6ef56400d275f37d773447d86a24864085a22e9a0322",
-        "circle_boundary": "46ba45af0a06cc1c08639b926430bc6b4f873880ceec7a4e1842c611fb313136",
-        "cubic_pitchfork": "d4caeb9cdd24e4ca82e72cf3d8fc2f69b9b98189e656e3be5b9c6e08f9315cc0",
-        "halfline_bilinear": "66451fa9330fce70711cce320b9541c81c44e313337e8098801701883fff699a",
-        "halfline_quadratic": "c8d095f1bf20798744388a1754004c2116204b5cf9cc70319fd892a8de80b963",
-        "moving_plane": "1e8cd50b1c0e4dd6d8d55a61e23bb596f48d21133465405aec8663d04e3f146b",
-        "product_constraint": "fe3fd20cf0924496ac9a9fd8c44a48d98d5e9e2ff831b9ccdffa2e87be59be1f",
-        "quartic_cuberoot": "d24fcf9446604df27b0342aabc3e7e032aa606f08b344c4ffa8f2f9623afb8a8",
+        "bilinear_ball": "8ee20932a493dced17bf03d3f859d056c88c3a2cc19f7d1e68683a4312c1e04d",
+        "circle_boundary": "e9fe84554b39ae420d76f42fa42370759ac940e4909422d82b51306fa2ac1a00",
+        "cubic_pitchfork": "7e9faa0ff1e9c1f6b1c1a53385b79369589354a95b072811cdb4ac0ce44137dc",
+        "halfline_bilinear": "ecf108b7c327900838fc6540b9117c21f3892e821b7e1e23b0dafa87da1b4af8",
+        "halfline_quadratic": "a11e1e4960779365dc739d7f8ec1b4607d1b8848511a176edc1d4cbed4fe962d",
+        "moving_plane": "94c3d3918877ddd86496e37fdda69d182cbdc775f4b1afe2366bb12a4fae682d",
+        "product_constraint": "549895cc244448596dec3558f0bb45965dc24ce732de1aa54237aac7e4ffebd6",
+        "quartic_cuberoot": "55a01c20811e6ce8fa51722340c8c75306c992bccfe9f6a718b5ae31327f55ee",
     }
 
     @pytest.mark.parametrize("name", PROBEABLE)

@@ -1,10 +1,12 @@
+import itertools
 import math
 import random
+import warnings
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aubincheck.errors import (
     DomainError,
@@ -25,6 +27,7 @@ from aubincheck.expr import (
     Var,
     differentiate,
     eval_array,
+    eval_interval,
     evaluate,
     max_indices,
     parse,
@@ -388,3 +391,73 @@ def test_interning():
 def test_intern_table_holds_nodes_weakly():
     ref = weakref.ref(parse("x1 + 987.125", 1, 1))
     assert ref() is None
+
+
+# ---------------------------------------------------------------------------
+# Interval enclosures
+# ---------------------------------------------------------------------------
+
+# Box bounds: near the domain edges of ln, sqrt and division (0, +-tiny), near
+# the extrema of sin and cos, and magnitudes up to 1e+-200.
+_bounds = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.floats(-1e200, 1e200),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-200, -1e-200, 1e200, -1e200, math.pi / 2, -math.pi, 2.0**20]),
+)
+_boxes = st.lists(st.tuples(_bounds, _bounds).map(sorted), min_size=4, max_size=4)  # x1, x2, w1, w2
+_fractions = st.lists(st.tuples(*[st.floats(0.0, 1.0)] * 4), min_size=1, max_size=8)
+
+
+def _box_args(box):
+    lo, hi = np.array(box, dtype=float).T
+    return (lo[:2, None], hi[:2, None]), (lo[2:, None], hi[2:, None])
+
+
+def _x1_box(lo, hi):
+    return [(lo, hi), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees, _boxes, _fractions)
+@example(parse("ln(x1)", 2, 2), _x1_box(5e-324, 1e-200), [(0.5,) * 4])
+@example(parse("ln(x1)", 2, 2), _x1_box(0.0, 1.0), [(0.5,) * 4])
+@example(parse("sqrt(x1 - 1)", 2, 2), _x1_box(1.0, 2.0), [(1e-17,) * 4])
+@example(parse("1/x1", 2, 2), _x1_box(-1e-300, 1e-300), [(0.5,) * 4])
+@example(parse("1/x1", 2, 2), _x1_box(5e-324, 1.0), [(1e-300,) * 4])
+@example(parse("x2*(x1*x1*x1)", 2, 2), [(1e200, 1e200), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)], [(0.5,) * 4])
+@example(parse("sin(x1) + cos(x2)", 2, 2), [(1.5, 1.6), (3.1, 3.2), (0.0, 0.0), (0.0, 0.0)], [(0.3,) * 4])
+@example(parse("exp(x1) - exp(x2)", 2, 2), [(700.0, 710.0), (-800.0, 800.0), (0.0, 0.0), (0.0, 0.0)], [(0.99,) * 4])
+@example(parse("(x1 - w1)^2 - x2^3", 2, 2), [(-1e200, 1e200), (-1e-200, 1e-200), (1.0, 1.0), (0.0, 0.0)], [(0.5,) * 4])
+def test_interval_encloses_batch_values(e, box, fractions):
+    # Each enclosure holds the batch value at the box's corners and at
+    # random points of the box; a NaN value (no value) is exempt.
+    lo, hi = np.array(box, dtype=float).T
+    inner = lo[:, None] + np.array(fractions).T * (hi - lo)[:, None]
+    P = np.concatenate([np.array(list(itertools.product(*box))).T, np.clip(inner, lo[:, None], hi[:, None])], axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        enc_lo, enc_hi = eval_interval(e, *_box_args(box))
+        v = np.broadcast_to(eval_array(e, P[:2], P[2:]), P.shape[1:])
+    assert not np.any(np.isnan(enc_lo) | np.isnan(enc_hi))
+    assert np.all(np.isnan(v) | ((enc_lo <= v) & (v <= enc_hi)))
+
+
+@pytest.mark.parametrize(
+    "text, x1, want",
+    [
+        ("ln(x1)", (0.0, 1.0), (-math.inf, math.inf)),
+        ("sqrt(x1)", (-1e-300, 4.0), (-math.inf, math.inf)),
+        ("1/x1", (-0.0, 1.0), (-math.inf, math.inf)),
+        ("x1*x2", (0.0, 0.0), (-5e-324, 5e-324)),  # 0*inf = 0, with x2 the whole line
+        ("x1^2", (-1.0, 2.0), (0.0, 4.0)),
+        ("sin(x1)", (0.0, 4.0), (-0.7568024953079283, 1.0)),
+        ("exp(x1)", (0.0, 1.0), (1.0, math.e)),
+    ],
+)
+def test_interval_values(text, x1, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        lo, hi = eval_interval(parse(text, 2, 1), (np.array([x1[0], -math.inf]), np.array([x1[1], math.inf])), (np.zeros(1),) * 2)
+    assert lo <= want[0] and hi >= want[1]
+    assert math.isinf(want[0]) or want[0] - lo <= 1e-13 * max(1.0, abs(want[0]))
+    assert math.isinf(want[1]) or hi - want[1] <= 1e-13 * max(1.0, abs(want[1]))

@@ -3,7 +3,6 @@ import hashlib
 import json
 import math
 import pathlib
-import re
 import warnings
 
 import numpy as np
@@ -13,7 +12,7 @@ from aubincheck import oracle
 from aubincheck.calculus import INTERIOR, EvalPoint, ToleranceConfig, problem_derivatives
 from aubincheck.conditions import MODE_EXTENDED, MODE_STRICT, verdict
 from aubincheck.errors import DimensionMismatch, GridTooCoarse
-from aubincheck.expr import ProblemSpec, max_indices, parse
+from aubincheck.expr import ProblemSpec, parse
 from aubincheck.oracle import (
     ACCEPT_RESIDUAL,
     GridSpec,
@@ -28,11 +27,6 @@ from conftest import PROBEABLE
 TOL = ToleranceConfig()
 
 NEWTON_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "newton_steps.json"
-
-
-def x_free_gradient(spec: ProblemSpec) -> bool:
-    """Whether some component of grad_x f0 does not depend on x."""
-    return any(max_indices(t)[0] == 0 for t in problem_derivatives(spec).f0x)
 
 
 def record_newton_steps(monkeypatch, n: int) -> dict:
@@ -113,9 +107,13 @@ class TestSampleStationarySet:
 
     def test_halfline_bilinear_cases(self, problems):
         pf = problems["halfline_bilinear"]
-        with pytest.warns(GridTooCoarse):
+        # At w > 0 both branches are certified empty: no point, no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             s = sample_stationary_set(pf.spec, [0.05], pf.grid, TOL, center=[0.0])
         assert s.is_empty
+        assert s.warnings == ()
+        assert s.certified_empty == ("interior", "boundary")
         s = sample_stationary_set(pf.spec, [-0.05], pf.grid, TOL, center=[0.0])
         assert len(s) == 1 and s.points[0, 0] == pytest.approx(0.0, abs=1e-12)
         s = sample_stationary_set(pf.spec, [0.0], pf.grid, TOL, center=[0.0])
@@ -183,21 +181,21 @@ class TestBatchedSampling:
             assert a.warnings == b.warnings
         return alone
 
-    def test_seeds_exceed_one_batch(self, problems):
-        # w > 0 leaves the box without stationary points and 101 seeds each,
-        # w = 0 is the sampled half-line, w < 0 a single point.  Together the
-        # seeds span several Newton batches.
-        ws = [[0.05]] + [[0.01 * k] for k in range(-3, 17)]
-        sets = self._check(problems["halfline_bilinear"], ws)
+    def test_seeds_exceed_one_batch(self, problems, monkeypatch):
+        # w > 0 leaves the box without stationary points, and both branches
+        # are certified empty there; w = 0 is the sampled half-line; w < 0 is
+        # the single point x = 0, which each of its ~100 boundary seeds
+        # reaches in one Newton step (the system is linear).  Together the
+        # refined rows span several Newton batches.
+        pf = problems["halfline_bilinear"]
+        ws = [[0.05]] + [[0.01 * k] for k in range(-8, 17)]
+        sets = self._check(pf, ws)
         assert sets[0].is_empty
-        seeds = sum(
-            int(m.group(1))
-            for s in sets
-            for msg in s.warnings
-            for m in [re.search(r"diverged for \d+/(\d+) seeds", msg)]
-            if m
+        log = record_newton_steps(monkeypatch, 1)
+        oracle._sample_sets(
+            problem_derivatives(pf.spec), [np.asarray(w, dtype=float) for w in ws], pf.point.arrays()[0], pf.grid, TOL
         )
-        assert seeds > oracle._CHUNK_ROWS
+        assert log["boundary"]["rows"] > oracle._CHUNK_ROWS
 
     @pytest.mark.parametrize("chunk", [7, oracle._CHUNK_ROWS])
     @pytest.mark.parametrize(
@@ -241,41 +239,81 @@ class TestNewtonPath:
         log = record_newton_steps(monkeypatch, pf.spec.n)
         aubin_probe(pf.spec, pf.point, pf.probe, pf.grid, pf.tolerances)
         got = newton_digests(log)
-        want = json.loads(NEWTON_GOLDEN.read_text())[name]
-        assert got["boundary"] == want["boundary"]
-        if x_free_gradient(pf.spec):
-            # The interior prune drops rows that cannot converge, and with
-            # them their steps; it never adds one.
-            assert got["interior"]["calls"] <= want["interior"]["calls"]
-            assert got["interior"]["rows"] <= want["interior"]["rows"]
-        else:
-            assert got["interior"] == want["interior"]
+        assert got == json.loads(NEWTON_GOLDEN.read_text())[name]
 
 
-class TestInteriorPrune:
-    """Rows whose x-free gradient component exceeds the bar are not refined."""
+class TestEmptyBranchCertificate:
+    """Rows of a branch whose system provably has no root in the box are not
+    refined."""
 
-    def test_prune_is_exact(self, monkeypatch):
+    def test_certificate_is_exact(self, monkeypatch):
         # The same problem twice: grad_x f0 is w1 in both, but the second
-        # tree mentions x, so nothing is pruned there.
-        x_free = ProblemSpec(1, 1, parse("x1*w1", 1, 1), parse("x1", 1, 1))
+        # tree also mentions x.  The enclosure sees through it, so neither
+        # refines an interior row at w != 0, and both give the same sets.
+        plain = ProblemSpec(1, 1, parse("x1*w1", 1, 1), parse("x1", 1, 1))
         with_x = ProblemSpec(1, 1, parse("x1*w1 + (x1 - x1)^2", 1, 1), parse("x1", 1, 1))
-        assert x_free_gradient(x_free) and not x_free_gradient(with_x)
         log = record_newton_steps(monkeypatch, 1)
         for w in (0.0, 0.05, -0.05):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", GridTooCoarse)
+            sets = []
+            for spec in (plain, with_x):
                 before = log["interior"]["calls"]
-                a = sample_stationary_set(x_free, [w], GridSpec(), TOL)
-                interior_calls = log["interior"]["calls"] - before
-                b = sample_stationary_set(with_x, [w], GridSpec(), TOL)
+                sets.append(sample_stationary_set(spec, [w], GridSpec(), TOL))
+                if w != 0.0:
+                    assert log["interior"]["calls"] == before
+            a, b = sets
             assert np.array_equal(a.points, b.points)
             assert np.array_equal(a.residuals, b.residuals)
             assert np.array_equal(a.lambdas, b.lambdas)
             assert a.branches == b.branches
             assert a.warnings == b.warnings
-            if w != 0.0:
-                assert interior_calls == 0
+
+    @pytest.mark.parametrize(
+        "f0, F, branch",
+        [("(x1 - w1)^2", "x1 - 10", "interior"), ("-x1", "x1 - w1", "boundary")],
+    )
+    def test_root_at_the_box_edge(self, f0, F, branch):
+        # The only root is x1 = w1.  Acceptance reaches r_x plus one spacing
+        # (0.505) from the centre, so the root at 0.504 is kept and its
+        # branch is not certified; at 0.506 both branches are.
+        spec = ProblemSpec(1, 1, parse(f0, 1, 1), parse(F, 1, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inside = sample_stationary_set(spec, [0.504], GridSpec(), TOL)
+            outside = sample_stationary_set(spec, [0.506], GridSpec(), TOL)
+        assert inside.branches == (branch,) and inside.points[0, 0] == pytest.approx(0.504, abs=1e-12)
+        assert branch not in inside.certified_empty
+        assert outside.is_empty and outside.certified_empty == ("interior", "boundary")
+
+    @pytest.mark.parametrize(
+        "name",
+        ["bilinear_ball", "circle_boundary", "cubic_pitchfork", "halfline_bilinear", "product_constraint", "quartic_cuberoot"],
+    )
+    def test_probe_unchanged_without_certificate(self, problems, monkeypatch, tmp_path, name):
+        # The fixtures where the certificate fires probe to the same report
+        # and CSV with every branch refined; only the warnings may differ.
+        pf = problems[name]
+        certify = oracle._empty_branches
+        fired = []
+
+        def recording(*args):
+            out = certify(*args)
+            fired.extend(e for e in out if e)
+            return out
+
+        def probe():
+            r = aubin_probe(pf.spec, pf.point, pf.probe, pf.grid, pf.tolerances, keep_samples=True)
+            write_samples_csv(r.samples, tmp_path / "samples.csv", pf.spec.n, pf.spec.d)
+            doc = r.to_dict()
+            del doc["warnings"]
+            return json.dumps(doc, sort_keys=True), (tmp_path / "samples.csv").read_bytes()
+
+        monkeypatch.setattr(oracle, "_empty_branches", recording)
+        certified = probe()
+        assert fired
+        monkeypatch.setattr(oracle, "_empty_branches", lambda derivs, W, *rest: [()] * W.shape[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GridTooCoarse)
+            assert probe() == certified
 
 
 class TestAubinProbe:
