@@ -35,9 +35,14 @@ def record_newton_steps(monkeypatch, n: int) -> dict:
     Wraps ``oracle._pinv_step``; the branch follows from the Jacobian, n x n
     on the interior and (n + 1) x (n + 1) on the boundary.  The hash runs
     over the C-order bytes of J, G and the step of each call, so a step that
-    differs in its last bit shows.
+    differs in its last bit shows.  Each row's bytes of J, G and step are
+    also collected in a set: the distinct steps do not depend on how the
+    rows are batched.
     """
-    log = {b: {"calls": 0, "rows": 0, "hash": hashlib.sha256()} for b in ("interior", "boundary")}
+    log = {
+        b: {"calls": 0, "rows": 0, "hash": hashlib.sha256(), "distinct": set()}
+        for b in ("interior", "boundary")
+    }
     step_fn = oracle._pinv_step
 
     def recording(J, G):
@@ -47,15 +52,30 @@ def record_newton_steps(monkeypatch, n: int) -> dict:
         entry["rows"] += J.shape[0]
         for a in (J, G, step):
             entry["hash"].update(a.tobytes())
+        for i in range(J.shape[0]):
+            entry["distinct"].add(J[i].tobytes() + G[i].tobytes() + step[i].tobytes())
         return step
 
     monkeypatch.setattr(oracle, "_pinv_step", recording)
     return log
 
 
+def distinct_digest(rows: set) -> str:
+    h = hashlib.sha256()
+    for r in sorted(rows):
+        h.update(r)
+    return h.hexdigest()
+
+
 def newton_digests(log: dict) -> dict:
     return {
-        b: {"calls": e["calls"], "rows": e["rows"], "sha256": e["hash"].hexdigest()}
+        b: {
+            "calls": e["calls"],
+            "rows": e["rows"],
+            "sha256": e["hash"].hexdigest(),
+            "distinct": len(e["distinct"]),
+            "distinct_sha256": distinct_digest(e["distinct"]),
+        }
         for b, e in log.items()
     }
 
