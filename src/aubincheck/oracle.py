@@ -11,9 +11,9 @@ report.
 
 The probe works a radius level at a time.  The stationary sets of all the
 level's parameter draws are sampled together: each grid is scanned on its
-own, but the Newton seeds of consecutive sets are refined in shared
-batches, each row at its own parameter.  Likewise the distance polish of
-all the level's (base, perturbed) pairs runs as one batch.  Rows never
+own, but the Newton seeds of all the sets are refined as one stream per
+branch, each row at its own parameter.  Likewise the distance polish of
+all the level's (base, perturbed) pairs runs as one stream.  Rows never
 interact, so the results are those of sampling and polishing one set or
 pair at a time.
 
@@ -21,13 +21,15 @@ The refiner does only work that can change a result.  Its line search
 evaluates the full step for every row and, for the rows it does not
 improve enough, all ten halvings in one batch; each row keeps the halving
 a one-at-a-time backtracking loop would stop at.  Each row's residual is
-carried from the evaluation that accepted its iterate.  And once per
-sampled parameter, each branch system is enclosed by interval arithmetic
-over the acceptance box (see ``_empty_branches``); where an equation's
-enclosure excludes the convergence bar, no row at that parameter can be
-accepted on that branch, so those rows are returned unconverged without a
-step, in set sampling and in the distance polish alike.  The report is
-unchanged by all three, except that a set whose two branches are both
+carried from the evaluation that accepted its iterate.  Rows that reach
+the same iterate at the same parameter after the same number of steps are
+merged, and one Newton step serves them all (see ``_Refiner.run``).  And
+once per sampled parameter, each branch system is enclosed by interval
+arithmetic over the acceptance box (see ``_empty_branches``); where an
+equation's enclosure excludes the convergence bar, no row at that
+parameter can be accepted on that branch, so those rows are not refined,
+in set sampling and in the distance polish alike.  The report is
+unchanged by all four, except that a set whose two branches are both
 certified empty reports no diverged seeds.
 
 One rule, in ``_accepted``, decides which refined points are stationary,
@@ -225,12 +227,13 @@ def kkt_residual(spec: ProblemSpec, x, w, tol: ToleranceConfig = ToleranceConfig
 # Batched damped Newton refinement
 # ---------------------------------------------------------------------------
 
-# Rows per Newton batch.  The probe refines the seeds of many stationary sets
-# and polishes the pairs of a whole radius level at once; chunking bounds the
-# working memory, and since every row follows its own iterations it cannot
-# change a result.  On a 2-CPU VM (Python 3.11, numpy 2.4), 1024 rows ran the
-# eight fixture probes about 15% faster than 512 but raised their peak RSS by
-# 0.6 MiB more (+0.8 against +0.2 MiB over sampling one set at a time).
+# Most distinct active rows in the Newton refiner's pool, and so in one step
+# batch.  The probe refines the seeds of a radius level's stationary sets,
+# and polishes its pairs, as one stream each; the pool bounds the working
+# memory, and since every row follows its own iterations it cannot change a
+# result.  On a 2-CPU VM (Python 3.11, numpy 2.4), a pool of 1024 rows ran the
+# eight fixture probes 8-17% faster than 512 but raised the process's peak
+# RSS by 0.5-0.6 MiB more (traced peak 1.5 against 1.1 MiB).
 _CHUNK_ROWS = 512
 
 # A Newton Jacobian J (m x m) is solved by its adjugate when |det J| >
@@ -337,19 +340,6 @@ class _Refiner:
         J[:, n, :n] = gF
         return np.where(np.isfinite(J), J, 0.0)
 
-    def run(self, seeds: np.ndarray, W: np.ndarray, branch: str, skip: np.ndarray):
-        """Refine seeds (N, n) at parameters W (d, N); returns (points,
-        lambdas, converged_mask).  The rows in the mask ``skip`` are returned
-        as seeds, unconverged, without a Newton step.
-        """
-        N = seeds.shape[0]
-        points, lams, conv = seeds.copy(), np.zeros(N), np.zeros(N, dtype=bool)
-        live = np.flatnonzero(~skip)
-        for s in range(0, live.size, _CHUNK_ROWS):
-            rows = live[s : s + _CHUNK_ROWS]
-            points[rows], lams[rows], conv[rows] = self._run(seeds[rows], W[:, rows], branch)
-        return points, lams, conv
-
     def _line_search(self, Za: np.ndarray, Wa: np.ndarray, step: np.ndarray, base: np.ndarray, branch: str):
         """Armijo backtracking on the residual norm in at most two evaluations.
 
@@ -374,55 +364,98 @@ class _Refiner:
             cand[worse], G[worse], rn[worse] = tries[sel], Gt[sel], rt[sel]
         return alpha, cand, G, rn
 
-    def _run(self, seeds: np.ndarray, W: np.ndarray, branch: str):
-        N = seeds.shape[0]
+    def _start(self, seeds: np.ndarray, W: np.ndarray, branch: str) -> np.ndarray:
+        """Starting iterates (k, m): the seeds, on the boundary with each
+        seed's least-squares lam >= 0 appended."""
         if branch == "interior":
-            Z = seeds.copy()
-        else:
-            X = seeds.T
-            g = self.derivs.eval_rows(self.derivs.f0x, X, W)
-            gF = self.derivs.eval_rows(self.derivs.Fx, X, W)
-            gg = np.sum(gF * gF, axis=0)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                lam0 = np.where(gg > 0, np.maximum(0.0, -np.sum(gF * g, axis=0) / gg), 0.0)
-            lam0 = np.where(np.isfinite(lam0), lam0, 0.0)
-            Z = np.concatenate([seeds, lam0[:, None]], axis=1)
+            return seeds
+        X = seeds.T
+        g = self.derivs.eval_rows(self.derivs.f0x, X, W)
+        gF = self.derivs.eval_rows(self.derivs.Fx, X, W)
+        gg = np.sum(gF * gF, axis=0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            lam0 = np.where(gg > 0, np.maximum(0.0, -np.sum(gF * g, axis=0) / gg), 0.0)
+        lam0 = np.where(np.isfinite(lam0), lam0, 0.0)
+        return np.concatenate([seeds, lam0[:, None]], axis=1)
 
-        settled = np.zeros(N, dtype=bool)
+    def run(self, seeds: np.ndarray, W: np.ndarray, branch: str, rows: np.ndarray):
+        """Refine the seeds (N, n) in ``rows`` at their parameters W (d, N);
+        returns (points, lambdas, converged_mask) of those rows, in order.
+
+        The rows stream through a pool of at most _CHUNK_ROWS active rows.
+        Each row iterates until it stalls, escapes, reaches residual 0 or
+        has taken newton_cap steps, and pending rows enter as others leave.
+        Before each step, pool rows whose iterate, parameter and step count
+        agree bit for bit are merged: only the first is stepped, and at the
+        end the others take its result.  A row's steps depend on that row
+        alone, so every row ends as it would refined by itself.
+        """
+        n, cap = self.n, self.grid.newton_cap
+        m = n + (branch == "boundary")
+        Z_out, r_out = np.empty((rows.size, m)), np.empty(rows.size)
         kill_radius = 1.5 * self.grid.r_x
+        # Per pool row: output position, iterate, parameter, G and its norm
+        # at the iterate (carried from the evaluation that accepted it), and
+        # steps taken.
+        pool = {
+            "pos": np.empty(0, int), "Z": np.empty((0, m)), "W": np.empty((0, W.shape[0])),
+            "G": np.empty((0, m)), "rnorm": np.empty(0), "steps": np.empty(0, int),
+        }
+        merged = []  # (followers, leaders) as output positions, in merge order
+        entered = 0
 
-        # G and its norm at each row's iterate, carried from the evaluation
-        # that accepted it.
-        G, rnorm = self._residual(Z, W, branch)
-        for _ in range(self.grid.newton_cap):
+        def keep(mask):
+            for k, a in pool.items():
+                pool[k] = a[mask]
+
+        def settle(done):
+            if np.any(done):
+                Z_out[pool["pos"][done]], r_out[pool["pos"][done]] = pool["Z"][done], pool["rnorm"][done]
+                keep(~done)
+
+        while entered < rows.size or pool["pos"].size:
+            new = np.arange(entered, min(rows.size, entered + _CHUNK_ROWS - pool["pos"].size))
+            if new.size:
+                entered = new[-1] + 1
+                Wn = W[:, rows[new]]
+                Zn = self._start(seeds[rows[new]], Wn, branch)
+                Gn, rn = self._residual(Zn, Wn, branch)
+                entry = {"pos": new, "Z": Zn, "W": Wn.T, "G": Gn, "rnorm": rn, "steps": np.zeros(new.size, int)}
+                for k in pool:
+                    pool[k] = np.concatenate([pool[k], entry[k]])
+                settle(~(pool["rnorm"] > 0.0))
+                if pool["pos"].size == 0:
+                    continue
+
+            key = np.hstack([pool["Z"], pool["W"], pool["steps"][:, None]])
+            key = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
+            _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+            follow = first[inv] != np.arange(key.size)
+            if np.any(follow):
+                merged.append((pool["pos"][follow], pool["pos"][first[inv[follow]]]))
+                keep(~follow)
+
             # Iterate to stall, not to an absolute bar: very flat residual
             # landscapes need machine-level resolution to locate the root.
-            active = np.flatnonzero(~settled & (rnorm > 0.0))
-            if active.size == 0:
-                break
-            Za, Wa, base = Z[active], W[:, active], rnorm[active]
-            J = self._jacobian(Za, Wa, branch)
-            step = _pinv_step(J, G[active])
-            alpha, cand, Gc, rn_new = self._line_search(Za, Wa, step, base, branch)
+            Z, Wa, G, rnorm = pool["Z"], pool["W"].T, pool["G"], pool["rnorm"]
+            J = self._jacobian(Z, Wa, branch)
+            step = _pinv_step(J, G)
+            alpha, cand, Gc, rn_new = self._line_search(Z, Wa, step, rnorm, branch)
+            with np.errstate(over="ignore"):  # a huge step's norm is inf: no stall
+                stalled = (rn_new >= rnorm * (1.0 - 1e-12)) | (
+                    np.linalg.norm(alpha[:, None] * step, axis=1)
+                    <= 1e-15 * (1.0 + np.linalg.norm(Z, axis=1))
+                )
+            moved = ~stalled
+            Z[moved], G[moved], rnorm[moved] = cand[moved], Gc[moved], rn_new[moved]
+            pool["steps"] += 1
+            escaped = np.max(np.abs(Z[:, :n] - self.center[None, :]), axis=1) > kill_radius
+            settle(stalled | escaped | ~(rnorm > 0.0) | (pool["steps"] == cap))
 
-            stalled = (rn_new >= base * (1.0 - 1e-12)) | (
-                np.linalg.norm(alpha[:, None] * step, axis=1)
-                <= 1e-15 * (1.0 + np.linalg.norm(Za, axis=1))
-            )
-            moved = active[~stalled]
-            Z[moved] = cand[~stalled]
-            G[moved] = Gc[~stalled]
-            rnorm[moved] = rn_new[~stalled]
-            settled[active[stalled]] = True
-            escaped = (
-                np.max(np.abs(Z[active][:, : self.n] - self.center[None, :]), axis=1)
-                > kill_radius
-            )
-            settled[active[escaped]] = True
-
-        points = Z[:, : self.n]
-        lams = Z[:, self.n] if branch == "boundary" else np.zeros(N)
-        return points, lams, rnorm <= max(self.grid.tau_newton, ACCEPT_RESIDUAL)
+        for followers, leaders in reversed(merged):
+            Z_out[followers], r_out[followers] = Z_out[leaders], r_out[leaders]
+        lams = Z_out[:, n] if branch == "boundary" else np.zeros(rows.size)
+        return Z_out[:, :n], lams, r_out <= max(self.grid.tau_newton, ACCEPT_RESIDUAL)
 
 
 def _empty_branches(derivs: ProblemDerivatives, W: np.ndarray, center: np.ndarray, grid: GridSpec, tol: ToleranceConfig) -> list:
@@ -475,12 +508,16 @@ def _accepted(refiner: _Refiner, seeds: np.ndarray, W: np.ndarray, skip: dict):
     grid, tol = refiner.grid, refiner.tol
     reach = grid.r_x + grid.spacing(refiner.n)
     for branch in _BRANCHES:
-        pts, lams, conv = refiner.run(seeds, W, branch, skip[branch])
-        rows = np.flatnonzero(conv)
+        live = np.flatnonzero(~skip[branch])
+        pts, lams, conv = refiner.run(seeds, W, branch, live)
+        rows = live[conv]
         if rows.size == 0:
             continue
-        pts, lams = pts[rows], lams[rows]
-        res, _, bmask, _ = _kkt_batch(refiner.derivs, pts.T, W[:, rows], tol)
+        pts, lams = pts[conv], lams[conv]
+        res, bmask = np.empty(rows.size), np.empty(rows.size, dtype=bool)
+        for s in range(0, rows.size, _CHUNK_ROWS):
+            part = slice(s, s + _CHUNK_ROWS)
+            res[part], _, bmask[part], _ = _kkt_batch(refiner.derivs, pts[part].T, W[:, rows[part]], tol)
         ok = (res <= ACCEPT_RESIDUAL) & (np.max(np.abs(pts - refiner.center), axis=1) <= reach)
         if branch == "boundary":
             ok &= lams >= -tol.tau_zero
@@ -570,60 +607,17 @@ def _sample_sets(
     """``sample_stationary_set`` for each parameter in ``ws``, sampled together.
 
     Each set's grid is scanned, seeded, deduplicated and classified on its
-    own.  The Newton seeds of consecutive sets are refined in one batch, each
-    row at its own set's parameter; a batch closes before it would exceed
-    ``_CHUNK_ROWS`` seeds, so only a few sets are held unrefined at a time.
-    The empty-branch certificates of all the sets come from one call.
+    own.  The Newton seeds of all the sets are refined as one stream per
+    branch, each row at its own set's parameter; the refiner's pool bounds
+    the working memory.  The empty-branch certificates of all the sets come
+    from one call.  A set whose two branches are certified empty is not
+    seeded, so no seed of it counts as diverged.
     """
     X = _build_grid(center, grid, derivs.spec.n)
     empty = _empty_branches(derivs, np.asarray(ws, dtype=float).T, center, grid, tol)
-    sets, group, rows = [], [], 0
-    for w, e in zip(ws, empty):
-        scan = _scan_grid(derivs, X, w, grid, tol) + (e,)
-        n_seeds = scan[2].shape[0]
-        if group and rows + n_seeds > _CHUNK_ROWS:
-            sets += _refine_group(derivs, group, center, grid, tol)
-            group, rows = [], 0
-        group.append(scan)
-        rows += n_seeds
-    return sets + _refine_group(derivs, group, center, grid, tol)
-
-
-def _scan_grid(derivs: ProblemDerivatives, X: np.ndarray, w: np.ndarray, grid: GridSpec, tol: ToleranceConfig):
-    """Grid scan of one set: (w, candidates, seeds, seed_direct).
-
-    The candidates are four lists (points, residuals, lambdas, boundary
-    masks) that start with the grid points accepted as they are;
-    seed_direct marks the seeds that are such points.
-    """
-    n = derivs.spec.n
-    m = grid.resolve_points(n)
-    res, lam_grid, boundary_mask, _ = _kkt_batch(derivs, X, derivs.param_rows(w, X.shape[1]), tol)
-    direct = np.flatnonzero(res <= ACCEPT_RESIDUAL)
-    cand = ([], [], [], [])
-    if direct.size:
-        bmask = boundary_mask[direct]
-        parts = (X[:, direct].T, res[direct], np.where(bmask, lam_grid[direct], 0.0), bmask)
-        for lst, part in zip(cand, parts):
-            lst.append(part)
-
-    seeds_idx = _with_neighbors(_local_minima(res, n, m), n, m)
-    seeds_idx = seeds_idx[np.isfinite(res[seeds_idx])]
-    if seeds_idx.size > 256:
-        # Large seed sets are residual plateaus; the direct-accept path above
-        # keeps the manifold itself, so refining a stride subsample suffices.
-        seeds_idx = seeds_idx[:: (seeds_idx.size + 255) // 256]
-    return w, cand, X[:, seeds_idx].T, res[seeds_idx] <= ACCEPT_RESIDUAL
-
-
-def _refine_group(derivs: ProblemDerivatives, group: list, center: np.ndarray, grid: GridSpec, tol: ToleranceConfig) -> list:
-    """Refine the seeds of scanned sets in one batch; returns their SampleSets.
-
-    Each scan is (w, candidates, seeds, seed_direct, certified-empty
-    branches).  A set whose two branches are certified empty has no seed to
-    refine, so none counts as diverged.
-    """
-    ws, cands, seeds, seed_direct, empty = zip(*group)
+    cands, seeds, seed_direct = zip(*(
+        _scan_grid(derivs, X, w, grid, tol, len(e) < len(_BRANCHES)) for w, e in zip(ws, empty)
+    ))
     counts = [s.shape[0] for s in seeds]
     first = np.concatenate([[0], np.cumsum(counts)])
     W = np.repeat(np.asarray(ws, dtype=float).T, counts, axis=1)
@@ -642,16 +636,44 @@ def _refine_group(derivs: ProblemDerivatives, group: list, center: np.ndarray, g
     for j, w in enumerate(ws):
         warn = ()
         seed_ok = produced[first[j] : first[j + 1]] | seed_direct[j]
-        n_diverged = int(np.sum(~seed_ok)) if len(empty[j]) < len(_BRANCHES) else 0
+        n_diverged = int(np.sum(~seed_ok))
         if n_diverged > 0.1 * counts[j]:
             msg = (
                 f"Newton refinement diverged for {n_diverged}/{counts[j]} seeds; "
                 "the grid may be too coarse"
             )
             warn = (msg,)
-            _warnings.warn(msg, GridTooCoarse, stacklevel=4)
+            _warnings.warn(msg, GridTooCoarse, stacklevel=3)
         sets.append(_finish_set(w, cands[j], center, grid, warn, empty[j]))
     return sets
+
+
+def _scan_grid(derivs: ProblemDerivatives, X: np.ndarray, w: np.ndarray, grid: GridSpec, tol: ToleranceConfig, seeded: bool):
+    """Grid scan of one set: (candidates, seeds, seed_direct).
+
+    The candidates are four lists (points, residuals, lambdas, boundary
+    masks) that start with the grid points accepted as they are;
+    seed_direct marks the seeds that are such points.  Unless ``seeded``,
+    there are no seeds.
+    """
+    n = derivs.spec.n
+    m = grid.resolve_points(n)
+    res, lam_grid, boundary_mask, _ = _kkt_batch(derivs, X, derivs.param_rows(w, X.shape[1]), tol)
+    direct = np.flatnonzero(res <= ACCEPT_RESIDUAL)
+    cand = ([], [], [], [])
+    if direct.size:
+        bmask = boundary_mask[direct]
+        parts = (X[:, direct].T, res[direct], np.where(bmask, lam_grid[direct], 0.0), bmask)
+        for lst, part in zip(cand, parts):
+            lst.append(part)
+
+    seeds_idx = _with_neighbors(_local_minima(res, n, m), n, m) if seeded else np.empty(0, int)
+    seeds_idx = seeds_idx[np.isfinite(res[seeds_idx])]
+    if seeds_idx.size > 256:
+        # Large seed sets are residual plateaus; the direct-accept path above
+        # keeps the manifold itself, so refining a stride subsample suffices.
+        seeds_idx = seeds_idx[:: (seeds_idx.size + 255) // 256]
+    return cand, X[:, seeds_idx].T, res[seeds_idx] <= ACCEPT_RESIDUAL
 
 
 def _finish_set(w, cand, center: np.ndarray, grid: GridSpec, warn: tuple, empty: tuple) -> SampleSet:
@@ -768,7 +790,7 @@ def _set_distances(queries: list, polisher: _Refiner) -> list:
     Uses the sampled points plus a local Newton polish started from each
     query point at its target's parameter; grid-only distances overestimate
     by up to half the spacing.  The rows of all queries are polished in one
-    batch, and skip the branches their target's sampling certified empty.
+    stream, and skip the branches their target's sampling certified empty.
     """
     if not queries:
         return []

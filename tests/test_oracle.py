@@ -37,10 +37,10 @@ def record_newton_steps(monkeypatch, n: int) -> dict:
     over the C-order bytes of J, G and the step of each call, so a step that
     differs in its last bit shows.  Each row's bytes of J, G and step are
     also collected in a set: the distinct steps do not depend on how the
-    rows are batched.
+    rows are batched.  ``widest`` is the most rows of one call.
     """
     log = {
-        b: {"calls": 0, "rows": 0, "hash": hashlib.sha256(), "distinct": set()}
+        b: {"calls": 0, "rows": 0, "widest": 0, "hash": hashlib.sha256(), "distinct": set()}
         for b in ("interior", "boundary")
     }
     step_fn = oracle._pinv_step
@@ -50,6 +50,7 @@ def record_newton_steps(monkeypatch, n: int) -> dict:
         entry = log["interior" if J.shape[-1] == n else "boundary"]
         entry["calls"] += 1
         entry["rows"] += J.shape[0]
+        entry["widest"] = max(entry["widest"], J.shape[0])
         for a in (J, G, step):
             entry["hash"].update(a.tobytes())
         for i in range(J.shape[0]):
@@ -251,7 +252,11 @@ class TestBatchedSampling:
 
 
 class TestNewtonPath:
-    """The Newton steps of each fixture probe, pinned by count and hash."""
+    """The Newton steps of each fixture probe, pinned by count and hash.
+
+    The refiner's pool bounds its working memory: no step batch exceeds
+    ``_CHUNK_ROWS`` rows.
+    """
 
     @pytest.mark.parametrize("name", PROBEABLE)
     def test_steps_match_golden(self, problems, monkeypatch, name):
@@ -260,6 +265,7 @@ class TestNewtonPath:
         aubin_probe(pf.spec, pf.point, pf.probe, pf.grid, pf.tolerances)
         got = newton_digests(log)
         assert got == json.loads(NEWTON_GOLDEN.read_text())[name]
+        assert all(e["widest"] <= oracle._CHUNK_ROWS for e in log.values())
 
 
 class TestEmptyBranchCertificate:

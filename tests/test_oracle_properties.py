@@ -1,4 +1,4 @@
-"""Property tests of the oracle's grid helpers and Newton step."""
+"""Property tests of the oracle's grid helpers, Newton step and refiner."""
 
 import warnings
 
@@ -8,7 +8,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from aubincheck.oracle import _DET_TAU, _local_minima, _pinv_step, _with_neighbors  # noqa: E402
+from aubincheck import oracle  # noqa: E402
+from aubincheck.calculus import ToleranceConfig, problem_derivatives  # noqa: E402
+from aubincheck.expr import ProblemSpec, parse  # noqa: E402
+from aubincheck.oracle import _DET_TAU, GridSpec, _local_minima, _pinv_step, _with_neighbors  # noqa: E402
 
 
 def neighbors_by_unique(idx: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -175,3 +178,68 @@ def test_newton_step_matches_pinv(batch):
             within_kappa = np.all(err <= 64 * m * EPS * kappa * np.max(np.abs(ref)))
             in_margin = kappa >= 0.1 / _DET_TAU
             assert within_kappa or (in_margin and close_to_pinv), (J[i], G[i], step[i], ref, kappa)
+
+
+# grad f0 = x1^3 - w1: the root w1^(1/3) is simple but, for small w1, Newton
+# from the box approaches it by about a third per step, so rows still move
+# when they run out of steps.  The boundary system adds lam and F = x1 - w1.
+SLOW_ROOT = ProblemSpec(1, 1, parse("x1^4/4 - w1*x1", 1, 1), parse("x1 - w1", 1, 1))
+
+
+def _refiner(cap: int):
+    return oracle._Refiner(
+        problem_derivatives(SLOW_ROOT), GridSpec(newton_cap=cap), ToleranceConfig(), np.zeros(1)
+    )
+
+
+@st.composite
+def refiner_streams(draw):
+    """Rows for one run: each row is (start, parameter, depth), its seed the
+    interior iterate that `start` reaches at that parameter in `depth` steps.
+    Rows repeat, share seeds across parameters, and continue each other's
+    paths, so with a small pool equal iterates enter at different steps."""
+    starts = draw(st.lists(st.floats(-0.5, 0.5, allow_subnormal=False), min_size=1, max_size=3))
+    params = draw(st.lists(st.sampled_from([0.0, 1e-6, -8e-6, 2.7e-5, 1e-3, 0.05]), min_size=1, max_size=3))
+    row = st.tuples(st.integers(0, len(starts) - 1), st.integers(0, len(params) - 1), st.integers(0, 3))
+    rows = draw(st.lists(row, min_size=8, max_size=30))
+    return draw(st.sampled_from([7, oracle._CHUNK_ROWS])), draw(st.integers(1, 5)), starts, params, rows
+
+
+def _stream(chunk, cap, starts, params, rows):
+    return chunk, cap, starts, params, rows
+
+
+# One path from x = 0.4 at w = 1e-6, entered at four depths, four times: in a
+# pool of 7 rows, rows join while others already stand where they start.
+_CHAIN = [(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 0, 3)] * 4
+
+
+@settings(deadline=None, max_examples=60)
+@given(refiner_streams())
+@example(_stream(7, 4, [0.4], [1e-6], _CHAIN))
+@example(_stream(7, 3, [0.3], [1e-6, 2.7e-5], [(0, 0, 0), (0, 1, 0)] * 5))  # one seed, two parameters
+@example(_stream(oracle._CHUNK_ROWS, 2, [0.0, 0.25], [0.0, 1e-3], [(0, 0, 0), (1, 1, 2), (0, 1, 0), (1, 1, 2)]))
+def test_refiner_stream_equals_each_row_alone(stream):
+    """Every row of a run, merged rows included, ends bit for bit as it does
+    refined by itself: points, lam and the converged flag."""
+    chunk, cap, starts, params, rows = stream
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_CHUNK_ROWS", chunk)
+        paths = {}
+        for i, x in enumerate(starts):
+            for j, w in enumerate(params):
+                W = np.array([[w]])
+                paths[i, j] = [np.array([[x]])] + [
+                    _refiner(k).run(np.array([[x]]), W, "interior", np.arange(1))[0] for k in (1, 2, 3)
+                ]
+        seeds = np.vstack([paths[i, j][k] for i, j, k in rows])
+        W = np.array([[params[j] for _, j, _ in rows]])
+        refiner = _refiner(cap)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for branch in ("interior", "boundary"):
+                batch = refiner.run(seeds, W, branch, np.arange(len(rows)))
+                for r in range(len(rows)):
+                    alone = refiner.run(seeds[r : r + 1], W[:, r : r + 1], branch, np.arange(1))
+                    for a, b in zip(alone, batch):
+                        assert a[0].tobytes() == b[r].tobytes(), (branch, r, rows[r])
