@@ -41,14 +41,11 @@ from .errors import (
 from .expr import ProblemSpec, differentiate, evaluate, parse, render
 from .kernel import (
     ConeConstraint,
-    ConeSpanResult,
-    Feasibility,
+    Section,
     SubspaceBasis,
-    affine_feasibility,
-    cone_span,
+    cone_section,
     contained_in_kernel,
     null_space,
-    stacked_kernel,
 )
 from .oracle import (
     GridSpec,

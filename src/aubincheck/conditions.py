@@ -62,8 +62,7 @@ from .kernel import (
     STRICT_NEGATIVE,
     STRICT_POSITIVE,
     ConeConstraint,
-    affine_feasibility,
-    cone_span,
+    cone_section,
     contained_in_kernel,
     null_space,
 )
@@ -210,17 +209,19 @@ def gamma_systems(b: DerivativeBundle, tag: CaseTag, lam: float) -> GammaSetDesc
 
 def _branch_test(branch: GammaBranch, tol: ToleranceConfig):
     """(report of the branch's x' = 0 test, K = null space of its x and zero rows)."""
-    K = null_space(branch.M[: -branch.w_rows], tol)
+    top = branch.M[: -branch.w_rows]
     W = branch.M[-branch.w_rows :]
     if not branch.constraints:
+        K = null_space(top, tol)
         holds = contained_in_kernel(K, W, tol)
         return ConditionReport(branch.condition, holds, {branch.evidence_key: K.dim}), K
-    section = cone_span(K, branch.constraints, tol)
+    section = cone_section(top, 0.0, branch.constraints, tol)
+    K = section.source
     if section.empty:
         evidence = {"cone_section": "empty", "source_dim": K.dim}
         return ConditionReport(branch.condition, True, evidence, section.warnings), K
-    holds = contained_in_kernel(section.spans, W, tol)
-    evidence = {"cone_section": "spans", "span_dim": section.spans.dim, "source_dim": K.dim}
+    holds = contained_in_kernel(section.span, W, tol)
+    evidence = {"cone_section": "spans", "span_dim": section.span.dim, "source_dim": K.dim}
     return ConditionReport(branch.condition, holds, evidence, section.warnings), K
 
 
@@ -387,18 +388,19 @@ def coderivative_membership(
     desc = v.table
 
     def solve(branch):
-        return affine_feasibility(branch.M, branch.rhs(xprime, wprime), branch.constraints, tol)
+        """A point of the branch's section at (x', w'), or None when it is Empty."""
+        return cone_section(branch.M, branch.rhs(xprime, wprime), branch.constraints, tol).point
 
     for branch in desc.inner:
-        feas = solve(branch)
-        if feas.feasible:
-            witness_v, gamma = _witness_from(feas.witness, branch, b.n)
+        point = solve(branch)
+        if point is not None:
+            witness_v, gamma = _witness_from(point, branch, b.n)
             return MembershipResult("In", witness_v, gamma, branch.name)
     if not v.condition(desc.regularity).holds:
         note = f"exactness unavailable: {desc.regularity} fails, outer estimate not certified"
         return MembershipResult("Unknown", notes=(note,))
     for branch in desc.outer:
-        if solve(branch).feasible:
+        if solve(branch) is not None:
             note = (
                 f"inside the outer estimate (branch {branch.name}) but not certified "
                 "by the inner one"

@@ -57,7 +57,7 @@ class NotStationary(PreconditionError):
 
 
 class UnsupportedConePattern(InputError):
-    """cone_span received a constraint pattern outside the supported catalogue."""
+    """A cone section was asked with more than two sign constraints or an unknown sense."""
 
 
 class GridTooCoarse(UserWarning):

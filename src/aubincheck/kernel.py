@@ -1,12 +1,15 @@
-"""Tolerance-controlled subspace computations and exact case-split decisions
-for cone-restricted kernel questions.
+"""Tolerance-controlled subspace computations and the exact case split of
+a cone section.
 
 Everything here works on desk-scale dense matrices.  Rank decisions use
 singular values with the relative cutoff tau_rank * sigma_max * max(dims).
-Cone decisions are made by exact case analysis on restricted functionals
-(never by an LP): at most two sign constraints occur, so the geometry is a
-half-space, a wedge, or a slice, and the only degenerate configuration is
-negative collinearity of the two restricted functionals.
+One routine, ``cone_section``, decides the section {z : M z = b} under at
+most two sign constraints, by exact case analysis on the constraints'
+functionals restricted to ker M (never by an LP).  With b = 0 it gives the
+span of a cone section (the condition tests); with b != 0 a point of an
+affine section (membership).  The geometry is a half-space, a wedge, or,
+when the two functionals are collinear, an interval of one functional,
+which can shrink to a single value and leave a slice.
 """
 
 from __future__ import annotations
@@ -22,13 +25,10 @@ from .errors import DimensionMismatch, UnsupportedConePattern
 __all__ = [
     "SubspaceBasis",
     "ConeConstraint",
-    "ConeSpanResult",
-    "Feasibility",
+    "Section",
     "null_space",
-    "stacked_kernel",
     "contained_in_kernel",
-    "cone_span",
-    "affine_feasibility",
+    "cone_section",
     "STRICT_POSITIVE",
     "NONNEG",
     "STRICT_NEGATIVE",
@@ -89,20 +89,6 @@ def null_space(A: np.ndarray, tol: ToleranceConfig = ToleranceConfig()) -> Subsp
     return SubspaceBasis(m, _canonicalize_columns(B))
 
 
-def stacked_kernel(matrices, tol: ToleranceConfig = ToleranceConfig()) -> SubspaceBasis:
-    """Intersection of the kernels, computed as ker of the vertical stack."""
-    mats = [np.atleast_2d(np.asarray(M, dtype=float)) for M in matrices]
-    if not mats:
-        raise DimensionMismatch("stacked_kernel needs at least one matrix")
-    m = mats[0].shape[1]
-    for M in mats:
-        if M.shape[1] != m:
-            raise DimensionMismatch(
-                f"ambient dimensions differ: {M.shape[1]} vs {m}"
-            )
-    return null_space(np.vstack(mats), tol)
-
-
 def contained_in_kernel(
     B: SubspaceBasis, M: np.ndarray, tol: ToleranceConfig = ToleranceConfig()
 ) -> bool:
@@ -135,25 +121,6 @@ class ConeConstraint:
         return np.array(self.c)
 
 
-@dataclass(frozen=True)
-class ConeSpanResult:
-    """Span of {z in K : constraints}: Empty, or a subspace it spans."""
-
-    empty: bool
-    span: SubspaceBasis | None = None
-    warnings: tuple = ()
-
-    @property
-    def spans(self) -> SubspaceBasis:
-        if self.empty:
-            raise ValueError("empty cone section has no span")
-        return self.span
-
-
-def _restricted(K: SubspaceBasis, c: np.ndarray) -> np.ndarray:
-    return K.basis.T @ c
-
-
 def _is_zero_functional(cK: np.ndarray, c: np.ndarray, tol: ToleranceConfig) -> bool:
     return float(np.linalg.norm(cK)) <= tol.tau_col * (1.0 + float(np.linalg.norm(c)))
 
@@ -162,99 +129,41 @@ def _collinearity(cK: np.ndarray, eK: np.ndarray) -> float:
     return float(np.dot(cK, eK) / (np.linalg.norm(cK) * np.linalg.norm(eK)))
 
 
-def cone_span(
-    K: SubspaceBasis, constraints, tol: ToleranceConfig = ToleranceConfig()
-) -> ConeSpanResult:
-    """Span of the cone section {z in K : sign constraints hold}.
-
-    Supported patterns (the only ones that occur):
-      * one strict constraint              (open half-space section)
-      * strict-positive paired with nonneg (wedge section)
-      * nonneg paired with nonneg          (closed wedge; 0 always belongs)
-
-    A relatively open nonempty subset of a subspace spans it, so the result
-    is Empty, all of K, or (closed wedge with negatively collinear
-    functionals) the slice K intersect ker(e).
-    """
-    constraints = list(constraints)
-    senses = [c.sense for c in constraints]
-    warnings: list[str] = []
-
-    if senses in ([STRICT_NEGATIVE], [STRICT_POSITIVE]):
-        c = constraints[0].vector()
-        _check_ambient(K, c)
-        cK = _restricted(K, c)
-        if _is_zero_functional(cK, c, tol):
-            return ConeSpanResult(empty=True)
-        return ConeSpanResult(empty=False, span=K)
-
-    if sorted(senses) == sorted([STRICT_POSITIVE, NONNEG]):
-        strict = constraints[senses.index(STRICT_POSITIVE)]
-        soft = constraints[senses.index(NONNEG)]
-        c, e = strict.vector(), soft.vector()
-        _check_ambient(K, c)
-        _check_ambient(K, e)
-        cK, eK = _restricted(K, c), _restricted(K, e)
-        if _is_zero_functional(cK, c, tol):
-            return ConeSpanResult(empty=True)
-        if _is_zero_functional(eK, e, tol):
-            return ConeSpanResult(empty=False, span=K)
-        cos = _collinearity(cK, eK)
-        warnings.extend(_collinearity_warning(cos, tol))
-        if abs(cos) >= 1.0 - tol.tau_col and cos < 0.0:
-            return ConeSpanResult(empty=True, warnings=tuple(warnings))
-        return ConeSpanResult(empty=False, span=K, warnings=tuple(warnings))
-
-    if senses == [NONNEG, NONNEG]:
-        c, e = constraints[0].vector(), constraints[1].vector()
-        _check_ambient(K, c)
-        _check_ambient(K, e)
-        cK, eK = _restricted(K, c), _restricted(K, e)
-        c_zero = _is_zero_functional(cK, c, tol)
-        e_zero = _is_zero_functional(eK, e, tol)
-        if not (c_zero or e_zero):
-            cos = _collinearity(cK, eK)
-            warnings.extend(_collinearity_warning(cos, tol))
-            if abs(cos) >= 1.0 - tol.tau_col and cos < 0.0:
-                # Section collapses to the slice {z in K : <e, z> = 0}.
-                coeff = null_space(eK[None, :], tol)
-                slice_basis = SubspaceBasis(
-                    K.ambient, _canonicalize_columns(K.basis @ coeff.basis)
-                )
-                return ConeSpanResult(empty=False, span=slice_basis, warnings=tuple(warnings))
-        return ConeSpanResult(empty=False, span=K, warnings=tuple(warnings))
-
-    raise UnsupportedConePattern(f"unsupported constraint pattern {senses!r}")
-
-
-def _check_ambient(K: SubspaceBasis, c: np.ndarray):
-    if c.shape[0] != K.ambient:
-        raise DimensionMismatch(
-            f"functional has dimension {c.shape[0]}, subspace lives in R^{K.ambient}"
-        )
-
-
-def _collinearity_warning(cos: float, tol: ToleranceConfig) -> list[str]:
+def _collinearity_warning(cos: float, tol: ToleranceConfig) -> tuple:
     gap = 1.0 - abs(cos)
     if tol.tau_col < gap <= 10.0 * tol.tau_col:
-        return [
+        return (
             f"restricted cone functionals are nearly collinear (1-|cos| = {gap:.3e}); "
-            "the span decision is tolerance-sensitive"
-        ]
-    return []
+            "the span decision is tolerance-sensitive",
+        )
+    return ()
 
 
 # ---------------------------------------------------------------------------
-# Affine feasibility with up to two sign constraints
+# Sections {z : M z = b} under up to two sign constraints
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Feasibility:
-    """Outcome of an affine feasibility question; witness satisfies M z = b
-    and every declared sign constraint when feasible."""
+class Section:
+    """The section {z : M z = b, sign constraints}, Empty when ``point`` is None.
 
-    feasible: bool
-    witness: np.ndarray | None = None
+    ``source`` is ker M, left None when M z = b has no solution (never when
+    b = 0), so that membership's inconsistent systems skip the SVD.
+    ``point`` satisfies M z = b within tau_stat and every sign constraint as
+    declared.  ``span`` is the subspace of the section's directions: ker M,
+    or the slice of it on which a collinear pair of constraints pins their
+    functional to one value.  With b = 0 the section is a cone and ``span``
+    is the subspace it spans.
+    """
+
+    source: SubspaceBasis | None
+    point: np.ndarray | None = None
+    span: SubspaceBasis | None = None
+    warnings: tuple = ()
+
+    @property
+    def empty(self) -> bool:
+        return self.point is None
 
 
 class _Interval:
@@ -320,21 +229,28 @@ def _sense_holds(value: float, sense: str, slack: float) -> bool:
     return value < 0.0
 
 
-def affine_feasibility(
+def _target(sense: str) -> float:
+    """A value of the constraint's functional that meets its sense."""
+    return -1.0 if sense == STRICT_NEGATIVE else 1.0
+
+
+def cone_section(
     M: np.ndarray,
-    b: np.ndarray,
+    b,
     constraints=(),
     tol: ToleranceConfig = ToleranceConfig(),
-) -> Feasibility:
-    """Decide existence of z with M z = b under at most two sign constraints.
+) -> Section:
+    """The section {z : M z = b} under at most two sign constraints.
 
     Solves least squares for a particular solution, reduces each constraint
-    to an affine functional alpha + <beta, t> on null-space coordinates, and
-    decides by the exhaustive case split on beta-degeneracy, independence,
-    and (anti)collinearity.  The witness, when returned, satisfies the
-    equalities within tau_stat and every sign constraint as declared.
+    to an affine functional alpha + <beta, t> on null-space coordinates t,
+    and decides by the exhaustive case split on beta-degeneracy,
+    independence, and (anti)collinearity.  A scalar b stands for that value
+    in every row; b = 0 asks for the span of the cone section of ker M.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
+    if np.ndim(b) == 0:
+        b = np.full(M.shape[0], float(b))
     b = np.asarray(b, dtype=float).ravel()
     if M.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"M has {M.shape[0]} rows but b has {b.shape[0]} entries")
@@ -348,9 +264,10 @@ def affine_feasibility(
     z0, *_ = np.linalg.lstsq(M, b, rcond=None)
     scale = 1.0 + float(np.linalg.norm(b))
     if float(np.linalg.norm(M @ z0 - b)) > tol.tau_stat * scale:
-        return Feasibility(False)
+        return Section(None)
 
     N = null_space(M, tol)
+
     alphas = [float(np.dot(c.vector(), z0)) for c in constraints]
     betas = [N.basis.T @ c.vector() for c in constraints]
     zero = [
@@ -360,39 +277,40 @@ def affine_feasibility(
     slack = tol.tau_stat * scale
 
     t = np.zeros(N.dim)
+    span = N
+    warnings = ()
     free = [i for i in range(len(constraints)) if not zero[i]]
 
     # Constraints whose functional vanishes on the null space are fixed at alpha.
     for i in range(len(constraints)):
         if zero[i] and not _sense_holds(alphas[i], constraints[i].sense, slack):
-            return Feasibility(False)
+            return Section(N)
 
     if len(free) == 1:
         i = free[0]
-        target = 1.0 if constraints[i].sense in (STRICT_POSITIVE, NONNEG) else -1.0
         beta = betas[i]
-        t = beta * (target - alphas[i]) / float(np.dot(beta, beta))
+        t = beta * (_target(constraints[i].sense) - alphas[i]) / float(np.dot(beta, beta))
     elif len(free) == 2:
         i, j = free
         bi, bj = betas[i], betas[j]
         cos = _collinearity(bi, bj)
+        warnings = _collinearity_warning(cos, tol)
         if abs(cos) < 1.0 - tol.tau_col:
-            targets = np.array(
-                [
-                    1.0 if constraints[k].sense in (STRICT_POSITIVE, NONNEG) else -1.0
-                    for k in (i, j)
-                ]
-            )
+            targets = np.array([_target(constraints[k].sense) for k in (i, j)])
             Bmat = np.vstack([bi, bj])
             t, *_ = np.linalg.lstsq(Bmat, targets - np.array([alphas[i], alphas[j]]), rcond=None)
         else:
             mu = float(np.dot(bi, bj)) / float(np.dot(bi, bi))  # bj ~= mu * bi
             Ii = _Interval.for_sense(constraints[i].sense).shift_scale(alphas[i], 1.0)
             Ij = _Interval.for_sense(constraints[j].sense).shift_scale(alphas[j], mu)
-            section = Ii.intersect(Ij)
-            if section is None:
-                return Feasibility(False)
-            s = section.pick()
+            interval = Ii.intersect(Ij)
+            if interval is None:
+                return Section(N, warnings=warnings)
+            if interval.lo == interval.hi:
+                # The pair pins <bi, t>: the section lies in the slice N ∩ ker bj.
+                coeff = null_space(bj[None, :], tol)
+                span = SubspaceBasis(N.ambient, _canonicalize_columns(N.basis @ coeff.basis))
+            s = interval.pick()
             t = bi * s / float(np.dot(bi, bi))
 
     witness = z0 + N.basis @ t
@@ -400,5 +318,5 @@ def affine_feasibility(
         _sense_holds(float(np.dot(c.vector(), witness)), c.sense, slack) for c in constraints
     )
     if not ok:
-        return Feasibility(False)
-    return Feasibility(True, witness)
+        return Section(N, warnings=warnings)
+    return Section(N, witness, span, warnings)

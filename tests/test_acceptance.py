@@ -192,7 +192,10 @@ def test_criterion_5c_cone_span_agreement():
     t = TestConeSpan()
     t.test_sphere_sampling_agreement_fixtures()
     t.test_sphere_sampling_agreement_random()
-    print("\nACCEPTANCE 5c PASS: cone spans agree with sphere sampling on fixtures + 100 random")
+    print(
+        "\nACCEPTANCE 5c PASS: cone spans agree with sphere sampling on fixtures + "
+        "20 random K per sense pattern (3 single, 9 ordered pairs)"
+    )
 
 
 def test_criterion_5d_condition_implications(problems):
