@@ -215,7 +215,7 @@ def _branch_test(branch: GammaBranch, tol: ToleranceConfig):
         K = null_space(top, tol)
         holds = contained_in_kernel(K, W, tol)
         return ConditionReport(branch.condition, holds, {branch.evidence_key: K.dim}), K
-    section = cone_section(top, 0.0, branch.constraints, tol)
+    section = cone_section(top, np.zeros(top.shape[0]), branch.constraints, tol)
     K = section.source
     if section.empty:
         evidence = {"cone_section": "empty", "source_dim": K.dim}

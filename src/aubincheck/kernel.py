@@ -149,9 +149,10 @@ class Section:
 
     ``source`` is ker M, left None when M z = b has no solution (never when
     b = 0), so that membership's inconsistent systems skip the SVD.
-    ``point`` satisfies M z = b within tau_stat and every sign constraint as
-    declared.  ``span`` is the subspace of the section's directions: ker M,
-    or the slice of it on which a collinear pair of constraints pins their
+    ``point`` satisfies every sign constraint as declared, and M z = b within
+    tau_stat when b != 0 (when b = 0 it lies in the computed ker M).
+    ``span`` is the subspace of the section's directions: ker M, or the
+    slice of it on which a collinear pair of constraints pins their
     functional to one value.  With b = 0 the section is a cone and ``span``
     is the subspace it spans.
     """
@@ -245,12 +246,11 @@ def cone_section(
     Solves least squares for a particular solution, reduces each constraint
     to an affine functional alpha + <beta, t> on null-space coordinates t,
     and decides by the exhaustive case split on beta-degeneracy,
-    independence, and (anti)collinearity.  A scalar b stands for that value
-    in every row; b = 0 asks for the span of the cone section of ker M.
+    independence, and (anti)collinearity.  b = 0 asks for the span of the
+    cone section of ker M: the particular solution is 0, and the step, which
+    lies in ker M by construction, is not re-checked against M z = 0.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    if np.ndim(b) == 0:
-        b = np.full(M.shape[0], float(b))
     b = np.asarray(b, dtype=float).ravel()
     if M.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"M has {M.shape[0]} rows but b has {b.shape[0]} entries")
@@ -261,19 +261,22 @@ def cone_section(
         if len(c.c) != M.shape[1]:
             raise DimensionMismatch("constraint dimension does not match unknowns")
 
-    z0, *_ = np.linalg.lstsq(M, b, rcond=None)
-    scale = 1.0 + float(np.linalg.norm(b))
-    if float(np.linalg.norm(M @ z0 - b)) > tol.tau_stat * scale:
-        return Section(None)
+    homogeneous = not b.any()
+    if homogeneous:
+        z0 = np.zeros(M.shape[1])
+        scale = 1.0
+    else:
+        z0, *_ = np.linalg.lstsq(M, b, rcond=None)
+        scale = 1.0 + float(np.linalg.norm(b))
+        if float(np.linalg.norm(M @ z0 - b)) > tol.tau_stat * scale:
+            return Section(None)
 
     N = null_space(M, tol)
 
-    alphas = [float(np.dot(c.vector(), z0)) for c in constraints]
-    betas = [N.basis.T @ c.vector() for c in constraints]
-    zero = [
-        _is_zero_functional(betas[i], constraints[i].vector(), tol)
-        for i in range(len(constraints))
-    ]
+    cs = [c.vector() for c in constraints]
+    alphas = [float(np.dot(c, z0)) for c in cs]
+    betas = [N.basis.T @ c for c in cs]
+    zero = [_is_zero_functional(betas[i], cs[i], tol) for i in range(len(cs))]
     slack = tol.tau_stat * scale
 
     t = np.zeros(N.dim)
@@ -314,8 +317,9 @@ def cone_section(
             t = bi * s / float(np.dot(bi, bi))
 
     witness = z0 + N.basis @ t
-    ok = float(np.linalg.norm(M @ witness - b)) <= tol.tau_stat * scale and all(
-        _sense_holds(float(np.dot(c.vector(), witness)), c.sense, slack) for c in constraints
+    ok = (homogeneous or float(np.linalg.norm(M @ witness - b)) <= tol.tau_stat * scale) and all(
+        _sense_holds(float(np.dot(c, witness)), con.sense, slack)
+        for c, con in zip(cs, constraints)
     )
     if not ok:
         return Section(N, warnings=warnings)

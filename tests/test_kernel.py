@@ -125,7 +125,7 @@ def _sphere_span_dim(K: SubspaceBasis, constraints, n_samples=10_000, seed=0):
 def cone_span(K: SubspaceBasis, constraints, tol=TOL):
     """The cone section of K, asked through rows whose kernel is K."""
     M = null_space(K.basis.T, tol).basis.T
-    return cone_section(M, 0.0, constraints, tol)
+    return cone_section(M, np.zeros(M.shape[0]), constraints, tol)
 
 
 def _result_dim(result):
@@ -172,6 +172,15 @@ class TestConeSpan:
         assert not result.empty and result.span.dim == 1
         z = result.span.basis[:, 0]
         assert abs(z[0] + z[1]) <= 1e-12
+
+    def test_long_step_along_a_small_singular_value(self):
+        # sigma = 1.5e-9 is under the rank cutoff, so ker M is the second axis;
+        # the step z = (0, 1000) leaves M z = (0, 1.5e-6), above tau_stat,
+        # yet the cone {z in ker M : 1e-3 z_2 > 0} still spans ker M.
+        M = np.diag([1.0, 1.5e-9])
+        cons = (ConeConstraint([0.0, 1e-3], STRICT_POSITIVE),)
+        result = cone_section(M, np.zeros(2), cons, TOL)
+        assert not result.empty and result.span.dim == 1
 
     def test_unsupported_pattern(self):
         K = SubspaceBasis(2, np.eye(2))
