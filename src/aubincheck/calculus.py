@@ -129,6 +129,9 @@ class ProblemDerivatives:
     vectorized evaluation for the sampling oracle.  Each block is a
     ``Tape`` of its entries in row-major order: ``f0xx[i*n + j]`` is
     d^2 f0 / dx_j dx_i and ``f0wx[k*n + i]`` is d^2 f0 / dw_k dx_i.
+    ``newton_systems`` lays out each branch's first-order system and its
+    Jacobian once; the oracle's Newton refiner and its empty-branch
+    certificate both read it.
     """
 
     def __init__(self, spec: ex.ProblemSpec):
@@ -178,11 +181,23 @@ class ProblemDerivatives:
     # -- vectorized evaluation over point batches (oracle fast path) ----------
 
     @cached_property
-    def boundary_system(self) -> ex.Tape:
-        """The boundary branch's equations grad_x f0 + lam grad_x F and F,
-        in the oracle's order of operations, with lam as x_{n+1}."""
-        lam = ex.Var("x", self.spec.n + 1)
-        return ex.Tape([*(ex.Add(g, ex.Mul(lam, gF)) for g, gF in zip(self.f0x, self.Fx)), self.spec.F])
+    def newton_systems(self) -> dict:
+        """Each branch's first-order system, as a pair of tapes (G, J) over z.
+
+        interior: z = x, G = grad_x f0 and J = grad_xx f0.
+        boundary: z = (x, lam), lam as x_{n+1}; G = (grad_x f0 + lam grad_x F, F)
+        and J = [[grad_xx f0 + lam grad_xx F, grad_x F], [grad_x F^T, 0]].
+
+        J is row-major, J[i*m + j] = dG_i/dz_j.  Its entries keep their zero
+        terms (f0xx + lam*Fxx); ``differentiate`` drops them, which can flip
+        the sign of a zero and with it a Newton step.
+        """
+        n = self.spec.n
+        lam = ex.Var("x", n + 1)
+        G = [*(ex.Add(g, ex.Mul(lam, gF)) for g, gF in zip(self.f0x, self.Fx)), self.spec.F]
+        H = [ex.Add(h, ex.Mul(lam, hF)) for h, hF in zip(self.f0xx, self.Fxx)]
+        J = [e for i in range(n) for e in (*H[i * n : (i + 1) * n], self.Fx[i])] + [*self.Fx, ex.Const(0.0)]
+        return {"interior": (self.f0x, self.f0xx), "boundary": (ex.Tape(G), ex.Tape(J))}
 
     def param_rows(self, w, N: int) -> np.ndarray:
         W = np.empty((self.spec.d, N))
@@ -198,11 +213,6 @@ class ProblemDerivatives:
         for i, v in enumerate(ex.eval_array(tape, X, W)):
             out[i] = v
         return out
-
-    def hess_rows(self, tape: ex.Tape, X: np.ndarray, W: np.ndarray) -> np.ndarray:
-        """Evaluate a row-major n x n tape over the batch; returns (N, n, n)."""
-        n = self.spec.n
-        return self.eval_rows(tape, X, W).T.reshape(-1, n, n)
 
 
 @lru_cache(maxsize=64)

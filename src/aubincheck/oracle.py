@@ -3,11 +3,13 @@
 ``sample_stationary_set`` enumerates the stationary points of the problem
 inside a box around the reference point by a vectorized grid scan of the
 first-order residual followed by damped (batched) Newton refinement on the
-active branch.  ``aubin_probe`` samples parameter pairs at shrinking radii
-and measures one-sided set-distance ratios, producing evidence for or
-against the Lipschitz-like property.  The probe is an evidence generator,
-not a decision procedure: its thresholds are heuristic and recorded in the
-report.
+active branch.  Each branch's system and its Jacobian are the tapes of
+``ProblemDerivatives.newton_systems``; the refiner and the empty-branch
+certificate read the same ones.  ``aubin_probe`` samples parameter pairs
+at shrinking radii and measures one-sided set-distance ratios, producing
+evidence for or against the Lipschitz-like property.  The probe is an
+evidence generator, not a decision procedure: its thresholds are heuristic
+and recorded in the report.
 
 The probe works a radius level at a time.  The stationary sets of all the
 level's parameter draws are sampled together: each grid is scanned on its
@@ -175,12 +177,21 @@ class SampleSet:
 # KKT residual
 # ---------------------------------------------------------------------------
 
+def _multiplier(g: np.ndarray, gF: np.ndarray):
+    """The least-squares multiplier max(0, -<gF, g> / ||gF||^2) of each
+    column of g = grad_x f0 and gF = grad_x F (n, N), and ||gF||^2.
+    Callers mask the columns where it is undefined or not finite."""
+    gg = np.sum(gF * gF, axis=0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return np.maximum(0.0, -np.sum(gF * g, axis=0) / gg), gg
+
+
 def _kkt_batch(derivs: ProblemDerivatives, X: np.ndarray, W: np.ndarray, tol: ToleranceConfig):
     """Vectorized first-order residual over a batch of (x, w) columns.
 
     X is (n, N) and W is (d, N).  Returns (residuals, lambdas,
-    boundary_mask, mfcq_skipped).  Infeasible points get +inf; non-finite
-    evaluations are treated as out of domain.
+    boundary_mask).  Infeasible points get +inf; non-finite evaluations are
+    treated as out of domain.
     """
     N = X.shape[1]
     F = derivs.eval_rows(derivs.F_row, X, W)[0]
@@ -195,19 +206,14 @@ def _kkt_batch(derivs: ProblemDerivatives, X: np.ndarray, W: np.ndarray, tol: To
         res[interior] = np.linalg.norm(g[:, interior], axis=0)
 
     boundary = (np.abs(F) <= thr) & ~bad
-    skipped = 0
     if np.any(boundary):
         gF = derivs.eval_rows(derivs.Fx, X, W)
-        gg = np.sum(gF * gF, axis=0)
+        lam_star, gg = _multiplier(g, gF)
         ok = boundary & np.all(np.isfinite(gF), axis=0) & (gg > tol.tau_zero**2)
-        skipped = int(np.sum(boundary & ~ok))
-        lam_star = np.zeros(N)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            lam_star[ok] = np.maximum(0.0, -np.sum(gF * g, axis=0)[ok] / gg[ok])
         if np.any(ok):
             res[ok] = np.linalg.norm(g[:, ok] + lam_star[ok] * gF[:, ok], axis=0)
             lam[ok] = lam_star[ok]
-    return res, lam, boundary, skipped
+    return res, lam, boundary
 
 
 def kkt_residual(spec: ProblemSpec, x, w, tol: ToleranceConfig = ToleranceConfig()) -> float:
@@ -219,7 +225,7 @@ def kkt_residual(spec: ProblemSpec, x, w, tol: ToleranceConfig = ToleranceConfig
     """
     derivs = problem_derivatives(spec)
     X = np.asarray(x, dtype=float).reshape(-1, 1)
-    res, _, _, _ = _kkt_batch(derivs, X, derivs.param_rows(w, 1), tol)
+    res, _, _ = _kkt_batch(derivs, X, derivs.param_rows(w, 1), tol)
     return float(res[0])
 
 
@@ -308,16 +314,8 @@ class _Refiner:
 
     def _residual(self, Zc: np.ndarray, W: np.ndarray, branch: str):
         """Branch system values over a (k, m) subset; returns (G, ||G||)."""
-        d = self.derivs
-        X = Zc[:, : self.n].T
-        g = d.eval_rows(d.f0x, X, W)
-        if branch == "interior":
-            G = g.T
-        else:
-            lam = Zc[:, self.n]
-            gF = d.eval_rows(d.Fx, X, W)
-            F = d.eval_rows(d.F_row, X, W)[0]
-            G = np.concatenate([(g + lam[None, :] * gF).T, F[:, None]], axis=1)
+        tape, _ = self.derivs.newton_systems[branch]
+        G = self.derivs.eval_rows(tape, Zc.T, W).T
         G = np.where(np.isfinite(G), G, 1e30)
         # A huge finite entry squares to inf; the line search and the stall
         # test reject that norm.
@@ -325,19 +323,10 @@ class _Refiner:
             return G, np.linalg.norm(G, axis=1)
 
     def _jacobian(self, Zc: np.ndarray, W: np.ndarray, branch: str) -> np.ndarray:
-        d = self.derivs
-        n = self.n
-        X = Zc[:, : self.n].T
-        H = d.hess_rows(d.f0xx, X, W)
-        if branch == "interior":
-            return np.where(np.isfinite(H), H, 0.0)
-        lam = Zc[:, self.n]
-        H = H + lam[:, None, None] * d.hess_rows(d.Fxx, X, W)
-        gF = d.eval_rows(d.Fx, X, W).T
-        J = np.zeros((Zc.shape[0], n + 1, n + 1))
-        J[:, :n, :n] = H
-        J[:, :n, n] = gF
-        J[:, n, :n] = gF
+        """Branch system Jacobians over a (k, m) subset, as (k, m, m)."""
+        _, tape = self.derivs.newton_systems[branch]
+        m = Zc.shape[1]
+        J = self.derivs.eval_rows(tape, Zc.T, W).T.reshape(-1, m, m)
         return np.where(np.isfinite(J), J, 0.0)
 
     def _line_search(self, Za: np.ndarray, Wa: np.ndarray, step: np.ndarray, base: np.ndarray, branch: str):
@@ -369,13 +358,9 @@ class _Refiner:
         seed's least-squares lam >= 0 appended."""
         if branch == "interior":
             return seeds
-        X = seeds.T
-        g = self.derivs.eval_rows(self.derivs.f0x, X, W)
-        gF = self.derivs.eval_rows(self.derivs.Fx, X, W)
-        gg = np.sum(gF * gF, axis=0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            lam0 = np.where(gg > 0, np.maximum(0.0, -np.sum(gF * g, axis=0) / gg), 0.0)
-        lam0 = np.where(np.isfinite(lam0), lam0, 0.0)
+        d, X = self.derivs, seeds.T
+        lam0, gg = _multiplier(d.eval_rows(d.f0x, X, W), d.eval_rows(d.Fx, X, W))
+        lam0 = np.where((gg > 0) & np.isfinite(lam0), lam0, 0.0)
         return np.concatenate([seeds, lam0[:, None]], axis=1)
 
     def run(self, seeds: np.ndarray, W: np.ndarray, branch: str, rows: np.ndarray):
@@ -478,9 +463,9 @@ def _empty_branches(derivs: ProblemDerivatives, W: np.ndarray, center: np.ndarra
     )
     bar = max(grid.tau_newton, ACCEPT_RESIDUAL) * (1.0 + _ROUNDING)
     masks = []
-    for tape in (derivs.f0x, derivs.boundary_system):
+    for branch in _BRANCHES:
         empty = np.zeros(W.shape[1], dtype=bool)
-        for lo, hi in eval_interval(tape, box, (W, W)):
+        for lo, hi in eval_interval(derivs.newton_systems[branch][0], box, (W, W)):
             empty |= (lo > bar) | (hi < -bar)
         masks.append(empty)
     return [tuple(b for b, m in zip(_BRANCHES, col) if m) for col in zip(*masks)]
@@ -517,10 +502,9 @@ def _accepted(refiner: _Refiner, seeds: np.ndarray, W: np.ndarray, skip: dict):
         res, bmask = np.empty(rows.size), np.empty(rows.size, dtype=bool)
         for s in range(0, rows.size, _CHUNK_ROWS):
             part = slice(s, s + _CHUNK_ROWS)
-            res[part], _, bmask[part], _ = _kkt_batch(refiner.derivs, pts[part].T, W[:, rows[part]], tol)
-        ok = (res <= ACCEPT_RESIDUAL) & (np.max(np.abs(pts - refiner.center), axis=1) <= reach)
-        if branch == "boundary":
-            ok &= lams >= -tol.tau_zero
+            res[part], _, bmask[part] = _kkt_batch(refiner.derivs, pts[part].T, W[:, rows[part]], tol)
+        # Interior rows carry lam = 0, so the lam test binds on the boundary.
+        ok = (res <= ACCEPT_RESIDUAL) & (np.max(np.abs(pts - refiner.center), axis=1) <= reach) & (lams >= -tol.tau_zero)
         lams = np.where(bmask, np.maximum(lams, 0.0), 0.0)
         yield rows[ok], pts[ok], res[ok], lams[ok], bmask[ok]
 
@@ -658,7 +642,7 @@ def _scan_grid(derivs: ProblemDerivatives, X: np.ndarray, w: np.ndarray, grid: G
     """
     n = derivs.spec.n
     m = grid.resolve_points(n)
-    res, lam_grid, boundary_mask, _ = _kkt_batch(derivs, X, derivs.param_rows(w, X.shape[1]), tol)
+    res, lam_grid, boundary_mask = _kkt_batch(derivs, X, derivs.param_rows(w, X.shape[1]), tol)
     direct = np.flatnonzero(res <= ACCEPT_RESIDUAL)
     cand = ([], [], [], [])
     if direct.size:

@@ -10,12 +10,13 @@ from aubincheck.calculus import (
     ToleranceConfig,
     classify_point,
     derivative_bundle,
+    problem_derivatives,
     finite_difference_audit,
     lagrange_multiplier,
     verify_stationarity,
 )
 from aubincheck.errors import InfeasiblePoint, MfcqViolated, NotStationary
-from aubincheck.expr import Mul, Const, ProblemSpec, Var, differentiate, parse
+from aubincheck.expr import Mul, Const, ProblemSpec, Tape, Var, differentiate, parse
 
 TOL = ToleranceConfig()
 
@@ -74,6 +75,54 @@ class TestDerivativeBundle:
 
                     other[k, i] = evaluate(differentiate(dw, Var("x", i + 1)), x, w)
             assert np.allclose(b.Hwx, other, atol=1e-10)
+
+
+def _newton_points(entry, m: int, rng) -> tuple:
+    """Columns z (m, K) and w (d, K) to evaluate a branch system at: random
+    points, the same with about half their entries set to +0 or -0, and the
+    reference point with lam (z_{n+1}, on the boundary) 0 or random."""
+    x, w = entry.point.arrays()
+    Z, W = rng.normal(size=(m, 12)), rng.normal(size=(w.size, 12))
+    zeroed = [np.where(rng.random(A.shape) < 0.5, np.copysign(0.0, A), A) for A in (Z, W)]
+    ref_z = np.array([np.append(x, lam)[:m] for lam in (0.0, rng.normal())]).T
+    return (
+        np.hstack([Z, zeroed[0], ref_z]),
+        np.hstack([W, zeroed[1], np.tile(w[:, None], 2)]),
+    )
+
+
+class TestNewtonSystems:
+    """Each branch's Jacobian tape is the derivative of its system tape."""
+
+    def test_jacobian_equals_derivative_tape(self, corpus):
+        # By value, so +0 and -0 agree: the hand-built J keeps zero terms
+        # that differentiation simplifies away.
+        rng = np.random.default_rng(20261019)
+        systems = 0
+        for entry in corpus:
+            if entry.variant is not None and (entry.spec.n > 2 or entry.spec.d > 2):
+                continue  # the generated problems within the probe's reach
+            derivs = problem_derivatives(entry.spec)
+            for branch, (G, J) in derivs.newton_systems.items():
+                m = entry.spec.n + (branch == "boundary")
+                assert len(G) == m and len(J) == m * m
+                dG = Tape(differentiate(g, Var("x", j + 1)) for g in G for j in range(m))
+                Z, W = _newton_points(entry, m, rng)
+                got, want = derivs.eval_rows(J, Z, W), derivs.eval_rows(dG, Z, W)
+                assert np.array_equal(got, want, equal_nan=True), (entry.name, branch)
+                systems += 1
+        assert systems == 2 * (9 + 14)  # the fixtures and 14 generated problems
+
+    def test_boundary_system_values(self, problems):
+        # circle_boundary: f0 = -x1^2 + (w1 - 1)*x1 and F = x1^2 + w1^2 - 2.
+        # At x1 = 1, lam = 0.5, w1 = 2: G = (-2 + 1 + 0.5*2, 1 + 4 - 2) and
+        # J = [[-2 + 0.5*2, 2], [2, 0]].
+        derivs = problem_derivatives(problems["circle_boundary"].spec)
+        G, J = derivs.newton_systems["boundary"]
+        Z, W = np.array([[1.0], [0.5]]), np.array([[2.0]])
+        assert derivs.eval_rows(G, Z, W)[:, 0].tolist() == [0.0, 3.0]
+        assert derivs.eval_rows(J, Z, W)[:, 0].tolist() == [-1.0, 2.0, 2.0, 0.0]
+        assert derivs.newton_systems["interior"] == (derivs.f0x, derivs.f0xx)
 
 
 class TestClassify:
