@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .errors import (
 __all__ = [
     "ToleranceConfig",
     "EvalPoint",
+    "BLOCKS",
     "DerivativeBundle",
     "ProblemDerivatives",
     "CaseTag",
@@ -89,6 +91,33 @@ class EvalPoint:
         return np.array(self.x), np.array(self.w)
 
 
+class Block(NamedTuple):
+    """A bundle block: its DerivativeBundle field, the ProblemDerivatives tape
+    holding it, the rows the audit differences (f0 or F, or the gradient tape
+    f0x or Fx) and the variables it differences them by ("x" or "w")."""
+
+    field: str
+    tape: str
+    rows: str
+    by: str
+
+    @property
+    def second_order(self) -> bool:
+        return self.rows in ("f0x", "Fx")
+
+
+# The bundle's blocks in report order.
+BLOCKS = (
+    Block("gxf0", "f0x", "f0", "x"),
+    Block("gxF", "Fx", "F", "x"),
+    Block("gwF", "Fw", "F", "w"),
+    Block("Hxx", "f0xx", "f0x", "x"),
+    Block("Hwx", "f0wx", "f0x", "w"),
+    Block("Fxx", "Fxx", "Fx", "x"),
+    Block("Fwx", "Fwx", "Fx", "w"),
+)
+
+
 @dataclass(frozen=True)
 class DerivativeBundle:
     """All first/second partials of f0 and F evaluated at the reference pair.
@@ -110,15 +139,15 @@ class DerivativeBundle:
     Fwx: np.ndarray
 
     def __post_init__(self):
-        blocks = (self.gxf0, self.Hxx, self.Hwx, self.gxF, self.gwF, self.Fxx, self.Fwx)
+        blocks = (getattr(self, blk.field) for blk in BLOCKS)
         if not (np.isfinite(self.Fval) and all(np.all(np.isfinite(b)) for b in blocks)):
             raise DomainError("derivative bundle contains non-finite entries")
 
     def scale(self) -> float:
-        """Magnitude estimate of the second-order data, used for relative tests."""
+        """Magnitude estimate of every block but grad_x f0, used for relative tests."""
         return max(
             float(np.max(np.abs(b))) if b.size else 0.0
-            for b in (self.Hxx, self.Hwx, self.Fxx, self.Fwx, self.gxF, self.gwF)
+            for b in (getattr(self, blk.field) for blk in BLOCKS if blk.field != "gxf0")
         )
 
 
@@ -161,22 +190,16 @@ class ProblemDerivatives:
             raise DimensionMismatch(
                 f"point has dimensions ({len(x)}, {len(w)}), problem expects ({n}, {d})"
             )
-        blocks = (self.F_row, self.f0x, self.f0xx, self.f0wx, self.Fx, self.Fw, self.Fxx, self.Fwx)
-        values = np.array(ex.evaluate([e for b in blocks for e in b], x, w))
-        Fval, gxf0, Hxx, Hwx, gxF, gwF, Fxx, Fwx = np.split(values, np.cumsum([len(b) for b in blocks[:-1]]))
-        Hxx, Fxx = Hxx.reshape(n, n), Fxx.reshape(n, n)
-        return DerivativeBundle(
-            n=n,
-            d=d,
-            Fval=float(Fval[0]),
-            gxf0=gxf0,
-            Hxx=(Hxx + Hxx.T) / 2.0,
-            Hwx=Hwx.reshape(d, n),
-            gxF=gxF,
-            gwF=gwF,
-            Fxx=(Fxx + Fxx.T) / 2.0,
-            Fwx=Fwx.reshape(d, n),
-        )
+        tapes = [getattr(self, blk.tape) for blk in BLOCKS]
+        values = np.array(ex.evaluate([*self.F_row, *(e for t in tapes for e in t)], x, w))
+        blocks = {}
+        for blk, v in zip(BLOCKS, np.split(values[1:], np.cumsum([len(t) for t in tapes[:-1]]))):
+            if blk.second_order:
+                v = v.reshape(-1, n)
+                if blk.by == "x":
+                    v = (v + v.T) / 2.0
+            blocks[blk.field] = v
+        return DerivativeBundle(n=n, d=d, Fval=float(values[0]), **blocks)
 
     # -- vectorized evaluation over point batches (oracle fast path) ----------
 
@@ -360,37 +383,16 @@ def finite_difference_audit(spec: ex.ProblemSpec, point: EvalPoint, h: float = 1
     derivs = problem_derivatives(spec)
     b = derivs.bundle(point)
     x, w = point.arrays()
-    n, d = spec.n, spec.d
-
-    def on_x(e):
-        return lambda xv: ex.evaluate(e, xv, w)
-
-    def on_w(e):
-        return lambda wv: ex.evaluate(e, x, wv)
-
     dev = {}
-    dev["gxf0"] = max(abs(_central(on_x(spec.f0), x, i, h) - b.gxf0[i]) for i in range(n))
-    dev["gxF"] = max(abs(_central(on_x(spec.F), x, i, h) - b.gxF[i]) for i in range(n))
-    dev["gwF"] = max(abs(_central(on_w(spec.F), w, k, h) - b.gwF[k]) for k in range(d))
-    dev["Hxx"] = max(
-        abs(_central(on_x(derivs.f0x[i]), x, j, h) - b.Hxx[j, i])
-        for i in range(n)
-        for j in range(n)
-    )
-    dev["Hwx"] = max(
-        abs(_central(on_w(derivs.f0x[i]), w, k, h) - b.Hwx[k, i])
-        for i in range(n)
-        for k in range(d)
-    )
-    dev["Fxx"] = max(
-        abs(_central(on_x(derivs.Fx[i]), x, j, h) - b.Fxx[j, i])
-        for i in range(n)
-        for j in range(n)
-    )
-    dev["Fwx"] = max(
-        abs(_central(on_w(derivs.Fx[i]), w, k, h) - b.Fwx[k, i])
-        for i in range(n)
-        for k in range(d)
-    )
+    for blk in BLOCKS:
+        rows = getattr(derivs, blk.rows) if blk.second_order else (getattr(spec, blk.rows),)
+        block = getattr(b, blk.field).reshape(-1, len(rows))
+        by_x = blk.by == "x"
+        base = x if by_x else w
+        dev[blk.field] = max(
+            abs(_central(lambda v: ex.evaluate(e, v, w) if by_x else ex.evaluate(e, x, v), base, j, h) - block[j, i])
+            for i, e in enumerate(rows)
+            for j in range(len(base))
+        )
     dev["worst"] = max(dev.values())
     return dev

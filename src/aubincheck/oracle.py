@@ -61,7 +61,7 @@ from .calculus import (
     _finite_positive,
     problem_derivatives,
 )
-from .errors import DimensionMismatch, GridTooCoarse
+from .errors import DimensionMismatch, GridTooCoarse, InputError
 from .expr import ProblemSpec, eval_interval
 
 __all__ = [
@@ -123,6 +123,10 @@ class GridSpec:
         return 2.0 * self.r_x / (self.resolve_points(n) - 1)
 
 
+# Most parameter draws per radius level; each is a stationary set to sample.
+_MAX_SAMPLES = 10**4
+
+
 @dataclass(frozen=True)
 class ProbeConfig:
     """Parameter sampling plan and flag thresholds for the Aubin probe.
@@ -149,6 +153,8 @@ class ProbeConfig:
             raise ValueError("probe thresholds must be finite and positive")
         if self.levels < 2 or self.samples < 8:
             raise ValueError("need at least 2 levels and 8 samples per level")
+        if self.samples > _MAX_SAMPLES:
+            raise ValueError(f"at most {_MAX_SAMPLES} samples per level")
         if self.rho_u is not None and not _finite_positive(self.rho_u):
             raise ValueError("locality radius must be finite and positive")
 
@@ -219,9 +225,10 @@ def _kkt_batch(derivs: ProblemDerivatives, X: np.ndarray, W: np.ndarray, tol: To
 def kkt_residual(spec: ProblemSpec, x, w, tol: ToleranceConfig = ToleranceConfig()) -> float:
     """First-order residual of the stationarity system at (x, w).
 
-    +inf encodes infeasibility (F > 0) and out-of-domain evaluations; at a
-    boundary point the residual minimizes ||grad f0 + lam grad F|| over
-    lam >= 0 in closed form.
+    +inf encodes infeasibility (F > 0), out-of-domain evaluations and
+    boundary points with ||grad_x F||^2 <= tau_zero^2, where the multiplier
+    is undefined; at any other boundary point the residual minimizes
+    ||grad f0 + lam grad F|| over lam >= 0 in closed form.
     """
     derivs = problem_derivatives(spec)
     X = np.asarray(x, dtype=float).reshape(-1, 1)
@@ -513,8 +520,14 @@ def _accepted(refiner: _Refiner, seeds: np.ndarray, W: np.ndarray, skip: dict):
 # Stationary set sampling
 # ---------------------------------------------------------------------------
 
+# Most points of one stationary set's grid, so the scan's arrays stay in memory.
+_MAX_GRID_POINTS = 10**6
+
+
 def _build_grid(center: np.ndarray, grid: GridSpec, n: int) -> np.ndarray:
     m = grid.resolve_points(n)
+    if m**n > _MAX_GRID_POINTS:
+        raise InputError(f"a grid of {m}^{n} points exceeds the {_MAX_GRID_POINTS} points a stationary set may scan")
     axes = [center[i] + np.linspace(-grid.r_x, grid.r_x, m) for i in range(n)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.vstack([a.ravel() for a in mesh])  # (n, m^n)

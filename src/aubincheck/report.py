@@ -5,9 +5,7 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
-
-from .calculus import DerivativeBundle
+from .calculus import BLOCKS, DerivativeBundle
 from .conditions import Verdict
 from .fixtures import fixture_notes
 from .problemfile import ProblemFile
@@ -24,20 +22,14 @@ __all__ = [
 SCHEMA_VERSION = "1"
 
 
-def _matrix(M: np.ndarray) -> list:
-    return [[float(v) for v in row] for row in np.atleast_2d(M)]
-
-
-def _vector(v) -> list:
-    return [float(t) for t in np.asarray(v).ravel()]
-
-
-def _problem_echo(pf: ProblemFile) -> dict:
+def _header(command: str, pf: ProblemFile) -> dict:
+    """The keys every report opens with: the command and its input."""
     return {
-        "n": pf.spec.n,
-        "d": pf.spec.d,
-        "f0": pf.f0_text,
-        "F": pf.F_text,
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "problem": {"n": pf.spec.n, "d": pf.spec.d, "f0": pf.f0_text, "F": pf.F_text},
+        "point": {"x": list(pf.point.x), "w": list(pf.point.w)},
+        "tolerances": pf.tolerances.as_dict(),
     }
 
 
@@ -46,11 +38,7 @@ def analysis_document(
 ) -> dict:
     """The report of one command; a fixture's note joins the verdict's warnings."""
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "problem": _problem_echo(pf),
-        "point": {"x": list(pf.point.x), "w": list(pf.point.w)},
-        "tolerances": pf.tolerances.as_dict(),
+        **_header(command, pf),
         "case": {
             "tag": verdict.case.kind,
             "subtag": verdict.case.subtag,
@@ -89,23 +77,8 @@ def analysis_document(
 
 
 def derivatives_document(pf: ProblemFile, bundle: DerivativeBundle, fd_audit=None) -> dict:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "derivatives",
-        "problem": _problem_echo(pf),
-        "point": {"x": list(pf.point.x), "w": list(pf.point.w)},
-        "tolerances": pf.tolerances.as_dict(),
-        "bundle": {
-            "F_value": float(bundle.Fval),
-            "gxf0": _vector(bundle.gxf0),
-            "Hxx": _matrix(bundle.Hxx),
-            "Hwx": _matrix(bundle.Hwx),
-            "gxF": _vector(bundle.gxF),
-            "gwF": _vector(bundle.gwF),
-            "Fxx": _matrix(bundle.Fxx),
-            "Fwx": _matrix(bundle.Fwx),
-        },
-    }
+    blocks = {blk.field: getattr(bundle, blk.field).tolist() for blk in BLOCKS}
+    doc = {**_header("derivatives", pf), "bundle": {"F_value": float(bundle.Fval), **blocks}}
     if fd_audit is not None:
         doc["fd_audit"] = {k: float(v) for k, v in fd_audit.items()}
     return doc
@@ -180,10 +153,8 @@ def render_derivatives_text(doc: dict) -> str:
     lines.append(f"point: x={doc['point']['x']} w={doc['point']['w']}")
     b = doc["bundle"]
     lines.append(f"F_value = {_fmt(b['F_value'])}")
-    for key in ("gxf0", "gxF", "gwF"):
-        lines.append(f"{key} = {b[key]}")
-    for key in ("Hxx", "Hwx", "Fxx", "Fwx"):
-        lines.append(f"{key} = {b[key]}")
+    for blk in BLOCKS:
+        lines.append(f"{blk.field} = {b[blk.field]}")
     if "fd_audit" in doc:
         lines.append("fd_audit (max abs deviation per block):")
         for key, val in doc["fd_audit"].items():

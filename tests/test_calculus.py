@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from aubincheck.calculus import (
+    BLOCKS,
     BOUNDARY,
     DEGENERATE,
     INTERIOR,
     NONDEGENERATE,
+    DerivativeBundle,
     EvalPoint,
     ToleranceConfig,
     classify_point,
@@ -55,6 +59,12 @@ class TestDerivativeBundle:
     def test_trust_region_hessian(self, problems):
         b = _bundle(problems, "trust_region")
         assert np.allclose(b.Hxx, np.diag([1.0, -1.0]))
+
+    def test_blocks_name_every_array_field(self):
+        arrays = [f.name for f in dataclasses.fields(DerivativeBundle) if f.type == "np.ndarray"]
+        names = [blk.field for blk in BLOCKS]
+        assert len(names) == len(set(names)) == 7
+        assert sorted(names) == sorted(arrays)
 
     def test_hessians_exactly_symmetric(self, problems):
         for pf in problems.values():

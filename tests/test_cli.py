@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from aubincheck.calculus import BLOCKS
 from aubincheck.cli import main
 from conftest import FIXTURE_NAMES, PROBEABLE, fixture_path, problem_dims
 
@@ -196,6 +197,7 @@ class TestErrorPaths:
         "argv",
         [
             ["probe", "{fixture}", "--grid-points", "4"],
+            ["probe", "{ball}", "--grid-points", "1000001"],  # 10^12 points on n = 2
             ["probe", "{fixture}", "--samples", "0"],
             ["probe", "{fixture}", "--levels", "0"],
             ["probe", "{fixture}", "--delta0=-1"],
@@ -226,7 +228,7 @@ class TestErrorPaths:
             "inf_w": base.replace("w = [0]", "w = [inf]"),
             "big_literal": base.replace('f0 = "x1^2"', 'f0 = "1e400*x1 + x1^2"'),
         }
-        paths = {"fixture": fixture_path("halfline_quadratic")}
+        paths = {"fixture": fixture_path("halfline_quadratic"), "ball": fixture_path("bilinear_ball")}
         for name, text in variants.items():
             paths[name] = str(tmp_path / f"{name}.prob")
             pathlib.Path(paths[name]).write_text(text)
@@ -461,6 +463,23 @@ class TestDerivativesCommand:
         assert code == 0
         audit = json.loads(out)["fd_audit"]
         assert audit["worst"] <= 1e-6
+
+    # The report order of the bundle's blocks; the text report follows it.
+    REPORT_ORDER = ("gxf0", "gxF", "gwF", "Hxx", "Hwx", "Fxx", "Fwx")
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_text_follows_block_order(self, name):
+        assert tuple(blk.field for blk in BLOCKS) == self.REPORT_ORDER
+        argv = ["derivatives", fixture_path(name), "--fd-audit", "1e-5"]
+        code, text = run_cli(argv)
+        assert code == 0
+        doc = json.loads(run_cli(argv + ["--json"])[1])
+        lines = text.splitlines()
+        assert lines[2] == f"F_value = {doc['bundle']['F_value']!r}"
+        assert lines[3:10] == [f"{key} = {doc['bundle'][key]}" for key in self.REPORT_ORDER]
+        assert lines[10] == "fd_audit (max abs deviation per block):"
+        keys = (*self.REPORT_ORDER, "worst")
+        assert lines[11:] == [f"  {key}: {doc['fd_audit'][key]!r}" for key in keys]
 
 
 class TestNoPanicSweep:

@@ -11,7 +11,7 @@ import pytest
 from aubincheck import oracle
 from aubincheck.calculus import INTERIOR, EvalPoint, ToleranceConfig, problem_derivatives
 from aubincheck.conditions import MODE_EXTENDED, MODE_STRICT, verdict
-from aubincheck.errors import DimensionMismatch, GridTooCoarse
+from aubincheck.errors import DimensionMismatch, GridTooCoarse, InputError
 from aubincheck.expr import ProblemSpec, parse
 from aubincheck.oracle import (
     ACCEPT_RESIDUAL,
@@ -179,6 +179,16 @@ class TestSampleStationarySet:
         spec = ProblemSpec(3, 1, parse("x1^2+x2^2+x3^2", 3, 1), parse("x1 - 1", 3, 1))
         with pytest.raises(DimensionMismatch):
             sample_stationary_set(spec, [0.0], GridSpec(), TOL)
+
+    def test_grid_size_bound(self, problems):
+        # More than 10^6 grid points per set is an input error, raised before
+        # any allocation; 999999 points on one axis are still scanned.
+        pf = problems["bilinear_ball"]
+        with pytest.raises(InputError, match="1000001\\^2 points"):
+            sample_stationary_set(pf.spec, pf.point.w, GridSpec(points_per_axis=1000001), TOL)
+        with pytest.raises(InputError, match="1001\\^2 points"):
+            oracle._build_grid(np.zeros(2), GridSpec(points_per_axis=1001), 2)
+        assert oracle._build_grid(np.zeros(1), GridSpec(points_per_axis=999999), 1).shape == (1, 999999)
 
 
 class TestBatchedSampling:

@@ -81,6 +81,11 @@ class TestLoadProblem:
         with pytest.raises(InputError):
             load_problem(_write(tmp_path, BASE + "\n[probe]\npoints_per_axis = 100\n"))
 
+    def test_samples_bound(self, tmp_path):
+        assert load_problem(_write(tmp_path, BASE + "\n[probe]\nsamples = 10000\n")).probe.samples == 10000
+        with pytest.raises(InputError, match="at most 10000 samples"):
+            load_problem(_write(tmp_path, BASE + "\n[probe]\nsamples = 1000000000\n"))
+
     def test_negative_tolerance_rejected(self, tmp_path):
         with pytest.raises(InputError):
             load_problem(_write(tmp_path, BASE + "\n[tolerances]\ntau_act = -1\n"))
