@@ -11,13 +11,16 @@ evidence for or against the Lipschitz-like property.  The probe is an
 evidence generator, not a decision procedure: its thresholds are heuristic
 and recorded in the report.
 
-The probe works a radius level at a time.  The stationary sets of all the
-level's parameter draws are sampled together: each grid is scanned on its
-own, but the Newton seeds of all the sets are refined as one stream per
-branch, each row at its own parameter.  Likewise the distance polish of
-all the level's (base, perturbed) pairs runs as one stream.  Rows never
-interact, so the results are those of sampling and polishing one set or
-pair at a time.
+The probe works a radius level at a time, and a level's sets, not one set,
+are the unit of work.  The grids of consecutive sets are scanned in one
+residual evaluation of at most 10 * _CHUNK_ROWS points, seeded on one
+(sets, m, ..., m) array, and deduplicated by one sort keyed by set; the
+Newton seeds of all the sets are refined as one stream per branch, each row
+at its own parameter.  Likewise the distance polish of all the level's
+(base, perturbed) pairs runs as one stream, and each set's points near the
+reference x and its grid-only distances are computed once per set.  Rows
+never interact, so the results are those of sampling and polishing one set
+or pair at a time.
 
 The refiner does only work that can change a result.  Its line search
 evaluates the full step for every row and, for the rows it does not
@@ -25,9 +28,11 @@ improve enough, all ten halvings in one batch; each row keeps the halving
 a one-at-a-time backtracking loop would stop at.  Each row's residual is
 carried from the evaluation that accepted its iterate.  Rows that reach
 the same iterate at the same parameter after the same number of steps are
-merged, and one Newton step serves them all (see ``_Refiner.run``).  And
-once per sampled parameter, each branch system is enclosed by interval
-arithmetic over the acceptance box (see ``_empty_branches``); where an
+merged, and one Newton step serves them all (see ``_Refiner.run``); a
+64-bit checksum of each row skips the exact merge test, a sort, at the
+steps where no two rows can be equal.  And once per sampled parameter,
+each branch system is enclosed by interval arithmetic over the acceptance
+box (see ``_empty_branches``); where an
 equation's enclosure excludes the convergence bar, no row at that
 parameter can be accepted on that branch, so those rows are not refined,
 in set sampling and in the distance polish alike.  The report is
@@ -125,6 +130,8 @@ class GridSpec:
 
 # Most parameter draws per radius level; each is a stationary set to sample.
 _MAX_SAMPLES = 10**4
+# Most radius levels; see ProbeConfig.
+_MAX_LEVELS = 64
 
 
 @dataclass(frozen=True)
@@ -137,6 +144,13 @@ class ProbeConfig:
     ratio grows by a constant factor per level while a Lipschitz map stays
     flat.  ``growth`` and ``blowup`` gate the Violation flag; ratios below
     ``ratio_floor`` count as numerically zero.
+
+    ``levels`` is at most _MAX_LEVELS = 64.  Each level samples up to
+    ``samples`` new sets, so a probe's work grows with the level count, and
+    finer levels cannot sharpen the evidence: delta_63 = delta0 * 2^-63 is
+    about 1e-19 * delta0, far under the 1e-9 residual bar that decides which
+    points are stationary, and under the double resolution of any parameter
+    of order one, whose draws then round to the reference w.
     """
 
     delta0: float = 0.1
@@ -155,6 +169,8 @@ class ProbeConfig:
             raise ValueError("need at least 2 levels and 8 samples per level")
         if self.samples > _MAX_SAMPLES:
             raise ValueError(f"at most {_MAX_SAMPLES} samples per level")
+        if self.levels > _MAX_LEVELS:
+            raise ValueError(f"at most {_MAX_LEVELS} radius levels")
         if self.rho_u is not None and not _finite_positive(self.rho_u):
             raise ValueError("locality radius must be finite and positive")
 
@@ -305,6 +321,29 @@ def _pinv_step(J: np.ndarray, G: np.ndarray) -> np.ndarray:
     return step
 
 
+# Odd multiplier of the merge test's checksum (the 64-bit golden ratio); the
+# k-th key column is weighted by (2k + 1) times it.
+_CHECKSUM = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _first_equal(key: np.ndarray):
+    """For each row of key (k, c), the index of the first row with the same
+    bits; None when no two rows are equal.
+
+    A sorted 64-bit checksum of each row's bits rules most repeats out: rows
+    whose checksums differ differ.  Only when two checksums agree are the
+    rows' bytes compared exactly, by one sort.
+    """
+    weights = np.arange(1, 2 * key.shape[1], 2, dtype=np.uint64) * _CHECKSUM
+    sums = np.sort(key.view(np.uint64) @ weights)  # sums wrap modulo 2^64
+    if not np.any(sums[1:] == sums[:-1]):
+        return None
+    rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
+    _, first, inv = np.unique(rows, return_index=True, return_inverse=True)
+    lead = first[inv]
+    return lead if np.any(lead != np.arange(lead.size)) else None
+
+
 class _Refiner:
     """Damped Newton on the interior or boundary branch, batched over rows.
 
@@ -419,12 +458,10 @@ class _Refiner:
                 if pool["pos"].size == 0:
                     continue
 
-            key = np.hstack([pool["Z"], pool["W"], pool["steps"][:, None]])
-            key = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
-            _, first, inv = np.unique(key, return_index=True, return_inverse=True)
-            follow = first[inv] != np.arange(key.size)
-            if np.any(follow):
-                merged.append((pool["pos"][follow], pool["pos"][first[inv[follow]]]))
+            lead = _first_equal(np.hstack([pool["Z"], pool["W"], pool["steps"][:, None]]))
+            if lead is not None:
+                follow = lead != np.arange(lead.size)
+                merged.append((pool["pos"][follow], pool["pos"][lead[follow]]))
                 keep(~follow)
 
             # Iterate to stall, not to an absolute bar: very flat residual
@@ -534,30 +571,31 @@ def _build_grid(center: np.ndarray, grid: GridSpec, n: int) -> np.ndarray:
 
 
 def _axis_neighbors(n: int):
-    """(lo, hi) index pairs of an n-dimensional grid, one per axis: hi[...]
-    is the next neighbor of lo[...] along that axis."""
+    """(lo, hi) index pairs over the last n axes of an array, one per axis:
+    hi[...] is the next neighbor of lo[...] along that axis."""
     for ax in range(n):
-        lo = tuple(slice(None, -1) if i == ax else slice(None) for i in range(n))
-        hi = tuple(slice(1, None) if i == ax else slice(None) for i in range(n))
+        lo = (Ellipsis,) + tuple(slice(None, -1) if i == ax else slice(None) for i in range(n))
+        hi = (Ellipsis,) + tuple(slice(1, None) if i == ax else slice(None) for i in range(n))
         yield lo, hi
 
 
-def _local_minima(res: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Indices of grid points whose residual is <= every axis neighbor's."""
-    R = res.reshape((m,) * n)
+def _local_minima(R: np.ndarray) -> np.ndarray:
+    """Flat indices of the points of R (sets, m, ..., m), one residual grid
+    per set, that are finite and <= every axis neighbor in their grid."""
     ok = np.isfinite(R)
-    for lo, hi in _axis_neighbors(n):
+    for lo, hi in _axis_neighbors(R.ndim - 1):
         ok[lo] &= R[lo] <= R[hi]
         ok[hi] &= R[hi] <= R[lo]
     return np.flatnonzero(ok)
 
 
-def _with_neighbors(idx: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Sorted grid indices of idx and of their axis neighbors."""
-    hit = np.zeros((m,) * n, dtype=bool)
+def _with_neighbors(idx: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sorted flat indices of idx and of their axis neighbors in an array of
+    ``shape`` (sets, m, ..., m); the sets' grids do not touch."""
+    hit = np.zeros(shape, dtype=bool)
     hit.reshape(-1)[idx] = True
     out = hit.copy()
-    for lo, hi in _axis_neighbors(n):
+    for lo, hi in _axis_neighbors(len(shape) - 1):
         out[lo] |= hit[hi]
         out[hi] |= hit[lo]
     return np.flatnonzero(out)
@@ -603,94 +641,111 @@ def _sample_sets(
 ) -> list:
     """``sample_stationary_set`` for each parameter in ``ws``, sampled together.
 
-    Each set's grid is scanned, seeded, deduplicated and classified on its
-    own.  The Newton seeds of all the sets are refined as one stream per
-    branch, each row at its own set's parameter; the refiner's pool bounds
-    the working memory.  The empty-branch certificates of all the sets come
-    from one call.  A set whose two branches are certified empty is not
-    seeded, so no seed of it counts as diverged.
+    The grids are scanned and seeded a chunk of sets at a time (see
+    ``_scan_grids``).  The Newton seeds of all the sets are refined as one
+    stream per branch, each row at its own set's parameter; the refiner's
+    pool bounds the working memory.  The empty-branch certificates of all
+    the sets come from one call.  A set whose two branches are certified
+    empty is not seeded, so no seed of it counts as diverged.
     """
-    X = _build_grid(center, grid, derivs.spec.n)
-    empty = _empty_branches(derivs, np.asarray(ws, dtype=float).T, center, grid, tol)
-    cands, seeds, seed_direct = zip(*(
-        _scan_grid(derivs, X, w, grid, tol, len(e) < len(_BRANCHES)) for w, e in zip(ws, empty)
-    ))
-    counts = [s.shape[0] for s in seeds]
-    first = np.concatenate([[0], np.cumsum(counts)])
-    W = np.repeat(np.asarray(ws, dtype=float).T, counts, axis=1)
-    skip = _skip_masks(empty, counts)
-    produced = np.zeros(W.shape[1], dtype=bool)
-    for rows, *parts in _accepted(_Refiner(derivs, grid, tol, center), np.vstack(seeds), W, skip):
+    Ws = np.asarray(ws, dtype=float).T
+    empty = _empty_branches(derivs, Ws, center, grid, tol)
+    seeded = np.array([len(e) < len(_BRANCHES) for e in empty])
+    direct, seed_set, seeds, seed_direct = _scan_grids(derivs, Ws, seeded, center, grid, tol)
+    found = [direct]
+    counts = np.bincount(seed_set, minlength=len(ws))
+    produced = np.zeros(seed_set.size, dtype=bool)
+    refiner = _Refiner(derivs, grid, tol, center)
+    for rows, *parts in _accepted(refiner, seeds, Ws[:, seed_set], _skip_masks(empty, counts)):
         produced[rows] = True
-        # Rows stay grouped by set, so each set's accepted rows are a slice.
-        cut = np.searchsorted(rows, first)
-        for j, cand in enumerate(cands):
-            if cut[j] < cut[j + 1]:
-                for lst, part in zip(cand, parts):
-                    lst.append(part[cut[j] : cut[j + 1]])
+        found.append((seed_set[rows], *parts))
 
-    sets = []
-    for j, w in enumerate(ws):
+    diverged = np.bincount(seed_set[~(produced | seed_direct)], minlength=len(ws))
+    warns = []
+    for j in range(len(ws)):
         warn = ()
-        seed_ok = produced[first[j] : first[j + 1]] | seed_direct[j]
-        n_diverged = int(np.sum(~seed_ok))
-        if n_diverged > 0.1 * counts[j]:
+        if diverged[j] > 0.1 * counts[j]:
             msg = (
-                f"Newton refinement diverged for {n_diverged}/{counts[j]} seeds; "
+                f"Newton refinement diverged for {diverged[j]}/{counts[j]} seeds; "
                 "the grid may be too coarse"
             )
             warn = (msg,)
             _warnings.warn(msg, GridTooCoarse, stacklevel=3)
-        sets.append(_finish_set(w, cands[j], center, grid, warn, empty[j]))
-    return sets
+        warns.append(warn)
+    return _finish_sets(ws, found, center, grid, warns, empty)
 
 
-def _scan_grid(derivs: ProblemDerivatives, X: np.ndarray, w: np.ndarray, grid: GridSpec, tol: ToleranceConfig, seeded: bool):
-    """Grid scan of one set: (candidates, seeds, seed_direct).
+def _scan_grids(derivs: ProblemDerivatives, Ws: np.ndarray, seeded: np.ndarray, center: np.ndarray, grid: GridSpec, tol: ToleranceConfig):
+    """Grid scan of the sets at the parameters Ws (d, K): (direct, seed_set,
+    seeds, seed_direct).
 
-    The candidates are four lists (points, residuals, lambdas, boundary
-    masks) that start with the grid points accepted as they are;
-    seed_direct marks the seeds that are such points.  Unless ``seeded``,
-    there are no seeds.
+    The grids of consecutive sets share one _kkt_batch call of at most
+    10 * _CHUNK_ROWS points, the line search's largest batch, or of one grid
+    where a grid alone is larger; the working memory stays that of one call.
+    ``direct`` holds the grid points accepted as they are, as (set, points,
+    residuals, lambdas, boundary).  The seeds (N, n) are, per set in
+    ``seeded``, the local minima of its residual grid and their axis
+    neighbors, in set order; seed_set gives each seed's set and seed_direct
+    marks the seeds accepted as they are.
     """
     n = derivs.spec.n
     m = grid.resolve_points(n)
-    res, lam_grid, boundary_mask = _kkt_batch(derivs, X, derivs.param_rows(w, X.shape[1]), tol)
-    direct = np.flatnonzero(res <= ACCEPT_RESIDUAL)
-    cand = ([], [], [], [])
-    if direct.size:
-        bmask = boundary_mask[direct]
-        parts = (X[:, direct].T, res[direct], np.where(bmask, lam_grid[direct], 0.0), bmask)
-        for lst, part in zip(cand, parts):
-            lst.append(part)
+    X = _build_grid(center, grid, n)
+    size = X.shape[1]
+    per = max(1, 10 * _CHUNK_ROWS // size)
+    hits, picks = [], []  # per chunk: (set, grid index, residual[, lambda, boundary])
+    for s in range(0, Ws.shape[1], per):
+        k = min(per, Ws.shape[1] - s)
+        res, lam, boundary = _kkt_batch(derivs, np.tile(X, k), np.repeat(Ws[:, s : s + k], size, axis=1), tol)
+        hit = np.flatnonzero(res <= ACCEPT_RESIDUAL)
+        hits.append((s + hit // size, hit % size, res[hit], np.where(boundary[hit], lam[hit], 0.0), boundary[hit]))
 
-    seeds_idx = _with_neighbors(_local_minima(res, n, m), n, m) if seeded else np.empty(0, int)
-    seeds_idx = seeds_idx[np.isfinite(res[seeds_idx])]
-    if seeds_idx.size > 256:
+        R = res.reshape((k,) + (m,) * n)
+        minima = _local_minima(R)
+        idx = _with_neighbors(minima[seeded[s + minima // size]], R.shape)
+        idx = idx[np.isfinite(res[idx])]
         # Large seed sets are residual plateaus; the direct-accept path above
-        # keeps the manifold itself, so refining a stride subsample suffices.
-        seeds_idx = seeds_idx[:: (seeds_idx.size + 255) // 256]
-    return cand, X[:, seeds_idx].T, res[seeds_idx] <= ACCEPT_RESIDUAL
+        # keeps the manifold itself, so refining a stride subsample of a set's
+        # seeds, at most 256 of them, suffices.
+        sets = idx // size
+        count = np.bincount(sets, minlength=k)
+        rank = np.arange(idx.size) - (np.cumsum(count) - count)[sets]
+        idx = idx[rank % ((count + 255) // 256)[sets] == 0]
+        picks.append((s + idx // size, idx % size, res[idx]))
+
+    sid, at, res, lam, boundary = (np.concatenate(c) for c in zip(*hits))
+    seed_set, seed_at, seed_res = (np.concatenate(c) for c in zip(*picks))
+    return (sid, X[:, at].T, res, lam, boundary), seed_set, X[:, seed_at].T, seed_res <= ACCEPT_RESIDUAL
 
 
-def _finish_set(w, cand, center: np.ndarray, grid: GridSpec, warn: tuple, empty: tuple) -> SampleSet:
-    """Deduplicate one set's accepted points; each keeps the branch label of
-    the residual evaluation that accepted it."""
+def _finish_sets(ws: list, found: list, center: np.ndarray, grid: GridSpec, warns: list, empty: list) -> list:
+    """The SampleSet of each parameter in ``ws`` from its accepted points;
+    ``found`` lists (set, points, residuals, lambdas, boundary) arrays, each
+    grouped by set.  Each point keeps the branch label of the residual
+    evaluation that accepted it."""
     n = center.shape[0]
-    if not cand[0]:
-        return SampleSet(tuple(w), np.empty((0, n)), np.empty(0), np.empty(0), (), warn, empty)
-    pts, rs, ls, bm = (np.concatenate(c) for c in cand)
+    sid, pts, rs, ls, bm = (np.concatenate(c) for c in zip(*found))
 
-    # Deduplicate within spacing/2: bucket to half-spacing cells and keep the
-    # first point of each cell in (residual, x) order, its smallest residual.
-    order = np.lexsort(tuple(pts[:, i] for i in reversed(range(n))) + (rs,))
-    cells = np.floor((pts[order] - (center - grid.r_x)) / (grid.spacing(n) / 2.0) + 0.5).astype(int)
-    cells -= cells.min(axis=0)
-    key = np.ravel_multi_index(tuple(cells.T), tuple(cells.max(axis=0) + 1))
-    keep = order[np.unique(key, return_index=True)[1]]
-    keep = keep[np.lexsort(tuple(pts[keep, i] for i in reversed(range(n))))]
-    branches = tuple("boundary" if b else "interior" for b in bm[keep])
-    return SampleSet(tuple(w), pts[keep], rs[keep], ls[keep], branches, warn, empty)
+    # Deduplicate within spacing/2: bucket each set's points to half-spacing
+    # cells and keep the first point of each cell in (residual, x) order, its
+    # smallest residual; the stable sort breaks ties in ``found`` order.
+    keep = np.empty(0, dtype=int)
+    if sid.size:
+        order = np.lexsort(tuple(pts[:, i] for i in reversed(range(n))) + (rs,))
+        cells = np.floor((pts[order] - (center - grid.r_x)) / (grid.spacing(n) / 2.0) + 0.5).astype(int)
+        cells = np.column_stack([sid[order], cells])
+        cells -= cells.min(axis=0)
+        key = np.ravel_multi_index(tuple(cells.T), tuple(cells.max(axis=0) + 1))
+        keep = order[np.unique(key, return_index=True)[1]]
+        keep = keep[np.lexsort(tuple(pts[keep, i] for i in reversed(range(n))) + (sid[keep],))]
+    cut = np.searchsorted(sid[keep], np.arange(len(ws) + 1))
+
+    sets = []
+    for j, w in enumerate(ws):
+        kj = keep[cut[j] : cut[j + 1]]
+        branches = tuple("boundary" if b else "interior" for b in bm[kj])
+        sets.append(SampleSet(tuple(w), pts[kj], rs[kj], ls[kj], branches, warns[j], empty[j]))
+    return sets
 
 
 # ---------------------------------------------------------------------------
@@ -793,15 +848,24 @@ def _set_distances(queries: list, polisher: _Refiner) -> list:
         return []
     xps = np.vstack([q for q, _ in queries])
     counts = [q.shape[0] for q, _ in queries]
-    W = np.concatenate([polisher.derivs.param_rows(t.w, q.shape[0]) for q, t in queries], axis=1)
-    dists = np.concatenate([
-        np.min(np.linalg.norm(q[:, None, :] - t.points[None, :, :], axis=2), axis=1)
-        for q, t in queries
-    ])
+    cut = np.cumsum([0] + counts)
+    W = np.repeat(np.array([t.w for _, t in queries]).T, counts, axis=1)
+    # Grid-only distances, once per target set over all its queries' rows, in
+    # blocks of at most 10 * _CHUNK_ROWS (row, point) differences.
+    dists = np.empty(xps.shape[0])
+    by_target: dict = {}
+    for j, (_, t) in enumerate(queries):
+        by_target.setdefault(id(t), (t, []))[1].append(np.arange(cut[j], cut[j + 1]))
+    for t, parts in by_target.values():
+        rows = np.concatenate(parts)
+        step = max(1, 10 * _CHUNK_ROWS // t.points.shape[0])
+        for s in range(0, rows.size, step):
+            r = rows[s : s + step]
+            dists[r] = np.min(np.linalg.norm(xps[r, None, :] - t.points[None, :, :], axis=2), axis=1)
     skip = _skip_masks([t.certified_empty for _, t in queries], counts)
     for rows, pts, _, _, _ in _accepted(polisher, xps, W, skip):
         dists[rows] = np.minimum(dists[rows], np.linalg.norm(pts - xps[rows], axis=1))
-    return np.split(dists, np.cumsum(counts)[:-1])
+    return [dists[cut[j] : cut[j + 1]] for j in range(len(queries))]
 
 
 def aubin_probe(
@@ -839,12 +903,14 @@ def aubin_probe(
     def key(wv) -> tuple:
         return tuple(float(v) for v in wv)
 
-    def get_set(wv: np.ndarray) -> SampleSet:
-        kw = key(wv)
+    def get_set(kw: tuple) -> SampleSet:
         if kw not in requested:
             requested[kw] = sampled[kw]
         return requested[kw]
 
+    near_x: dict = {}
+    # Whether every draw so far rounds to w_bar, so that no pair can be measured.
+    unresolved = True
     polisher = _Refiner(derivs, polish_grid, tol, x_center)
     levels: list[LevelStats] = []
     level0_ratios: list[float] = []
@@ -856,40 +922,49 @@ def aubin_probe(
         dirs = _directions(spec.d, len(radii), cfg.seed + k)
         draws = [w_bar + delta * r * u for r, u in zip(radii, dirs)]
 
+        # Pairs index pts, the draws and then w_bar.
+        pts = draws + [w_bar]
+        keys = [key(wv) for wv in pts]
+        bar = len(draws)
+
         # In the order of first request: the first draw, w_bar, the rest.
         new: dict = {}
-        for wv in [draws[0], w_bar] + draws[1:]:
-            kw = key(wv)
-            if kw not in sampled:
-                new.setdefault(kw, wv)
+        for i in [0, bar] + list(range(1, bar)):
+            if keys[i] not in sampled:
+                new.setdefault(keys[i], pts[i])
         if new:
-            sampled.update(zip(new, _sample_sets(derivs, list(new.values()), x_center, grid, tol)))
+            sets = _sample_sets(derivs, list(new.values()), x_center, grid, tol)
+            sampled.update(zip(new, sets))
+            # Each set's points near x, for every pair it is perturbed in.
+            near_x.update(
+                (kw, S.points[np.linalg.norm(S.points - x_center[None, :], axis=1) <= rho_u])
+                for kw, S in zip(new, sets)
+            )
+        unresolved = unresolved and all(kw == keys[bar] for kw in keys)
 
         pairs = []
-        for p in draws:
-            pairs.append((w_bar, p))
-            pairs.append((p, w_bar))
-        for i in range(0, len(draws) - 1, 4):
-            pairs.append((draws[i], draws[i + 1]))
-            pairs.append((draws[i + 1], draws[i]))
+        for i in range(bar):
+            pairs += [(bar, i), (i, bar)]
+        for i in range(0, bar - 1, 4):
+            pairs += [(i, i + 1), (i + 1, i)]
 
         # (base, pert, dist_w, near) per measured pair, near = None for an
         # empty-value event; all ratio pairs are polished together.
         measured = []
         queries = []
+        gaps: dict = {}  # ||pert - base||, the same both ways
         for base, pert in pairs:
-            dist_w = float(np.linalg.norm(np.asarray(pert) - np.asarray(base)))
+            dist_w = gaps.get((pert, base))
+            if dist_w is None:
+                dist_w = gaps[(base, pert)] = float(np.linalg.norm(pts[pert] - pts[base]))
             if dist_w == 0.0:
                 continue
-            S_pert = get_set(pert)
-            if S_pert.is_empty:
+            if get_set(keys[pert]).is_empty:
                 continue
-            near = S_pert.points[
-                np.linalg.norm(S_pert.points - x_center[None, :], axis=1) <= rho_u
-            ]
+            near = near_x[keys[pert]]
             if near.shape[0] == 0:
                 continue
-            S_base = get_set(base)
+            S_base = get_set(keys[base])
             if S_base.is_empty:
                 measured.append((base, pert, dist_w, None))
                 continue
@@ -906,8 +981,8 @@ def aubin_probe(
                 events += 1
                 if worst_pair is None:
                     worst_pair = {
-                        "w_base": [float(v) for v in base],
-                        "w_perturbed": [float(v) for v in pert],
+                        "w_base": [float(v) for v in pts[base]],
+                        "w_perturbed": [float(v) for v in pts[pert]],
                         "event": "empty_base_set",
                         "ratio": None,
                     }
@@ -922,8 +997,8 @@ def aubin_probe(
             if worst is None or ratio > worst:
                 worst = ratio
                 worst_pair = {
-                    "w_base": [float(v) for v in base],
-                    "w_perturbed": [float(v) for v in pert],
+                    "w_base": [float(v) for v in pts[base]],
+                    "w_perturbed": [float(v) for v in pts[pert]],
                     "x_point": [float(v) for v in near[i_max]],
                     "distance": float(dists[i_max]),
                     "ratio": ratio,
@@ -973,6 +1048,13 @@ def aubin_probe(
                 "all worst ratios stay within 10x the coarsest-level median"
                 if baseline is not None
                 else "all measured ratios are below the numeric floor"
+            )
+        elif not measured and total_events == 0:
+            flag = FLAG_INCONCLUSIVE
+            reason = "nothing was measured: no ratio and no empty-value event at any radius level, because " + (
+                "every parameter draw rounds to the reference w"
+                if unresolved
+                else "no perturbed stationary set has a point within rho_u of the reference x"
             )
         else:
             flag = FLAG_INCONCLUSIVE

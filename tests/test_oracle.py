@@ -191,6 +191,19 @@ class TestSampleStationarySet:
         assert oracle._build_grid(np.zeros(1), GridSpec(points_per_axis=999999), 1).shape == (1, 999999)
 
 
+def record_scan_widths(monkeypatch) -> list:
+    """The number of columns of every ``_kkt_batch`` call from now on."""
+    widths = []
+    kkt = oracle._kkt_batch
+
+    def recording(derivs, X, W, tol):
+        widths.append(X.shape[1])
+        return kkt(derivs, X, W, tol)
+
+    monkeypatch.setattr(oracle, "_kkt_batch", recording)
+    return widths
+
+
 class TestBatchedSampling:
     """Sampling many parameters at once equals sampling each alone."""
 
@@ -210,7 +223,23 @@ class TestBatchedSampling:
             assert np.array_equal(a.lambdas, b.lambdas)
             assert a.branches == b.branches
             assert a.warnings == b.warnings
+            assert a.certified_empty == b.certified_empty
         return alone
+
+    def test_scan_chunks_equal_each_set(self, problems, monkeypatch):
+        # 61 parameters of an n = 1 fixture, whose grids have 201 points, take
+        # three scan calls of at most 25 grids.  Among them are sets with
+        # points, sets with both branches certified empty, and sets with no
+        # points where only one branch is certified empty.
+        pf = problems["circle_boundary"]
+        ws = [[1.0 + 0.05 * k] for k in range(-30, 31)]
+        widths = record_scan_widths(monkeypatch)
+        sets = self._check(pf, ws)
+        # The refined points are checked in calls of at most _CHUNK_ROWS.
+        assert [w for w in widths if w > oracle._CHUNK_ROWS] == [25 * 201, 25 * 201, 11 * 201]
+        assert any(s.certified_empty == ("interior", "boundary") for s in sets)
+        assert any(s.is_empty and len(s.certified_empty) == 1 for s in sets)
+        assert any(not s.is_empty for s in sets)
 
     def test_seeds_exceed_one_batch(self, problems, monkeypatch):
         # w > 0 leaves the box without stationary points, and both branches
@@ -392,6 +421,65 @@ class TestAubinProbe:
         pf = problems["trust_region"]
         with pytest.raises(DimensionMismatch):
             aubin_probe(pf.spec, pf.point, pf.probe, pf.grid, TOL)
+
+    @pytest.mark.parametrize(
+        "x, delta0, cause",
+        [
+            # Every draw 1 + 1e-300 * r * u rounds to w = 1.
+            (1.0, 1e-300, "every parameter draw rounds to the reference w"),
+            # Off the reference point: S(w) = {sqrt(2 - w^2)} stays near 1,
+            # farther than rho_u = 0.25 from x = 1.3.
+            (1.3, 0.01, "no perturbed stationary set has a point within rho_u of the reference x"),
+        ],
+    )
+    def test_nothing_measured(self, problems, x, delta0, cause):
+        pf = problems["circle_boundary"]
+        r = aubin_probe(pf.spec, EvalPoint([x], [1.0]), ProbeConfig(delta0=delta0, levels=2), pf.grid, TOL)
+        assert r.flag == "Inconclusive"
+        assert all(lv.n_ratio_pairs == 0 and lv.empty_value_events == 0 for lv in r.levels)
+        assert r.flag_reason.startswith("nothing was measured") and r.flag_reason.endswith(cause)
+
+    def test_levels_bound(self):
+        assert ProbeConfig(levels=oracle._MAX_LEVELS).levels == 64
+        with pytest.raises(ValueError, match="at most 64 radius levels"):
+            ProbeConfig(levels=65)
+
+    def test_scan_calls_stay_chunk_bounded(self, problems, monkeypatch):
+        # The grid scan shares _kkt_batch calls between sets only up to the
+        # line search's largest batch, so the working memory stays bounded.
+        widths = record_scan_widths(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GridTooCoarse)
+            for name in ("circle_boundary", "moving_plane"):
+                pf = problems[name]
+                aubin_probe(pf.spec, pf.point, pf.probe, pf.grid, TOL)
+        assert max(widths) <= oracle._CHUNK_ROWS * 10
+
+
+class TestMergeKeys:
+    """The refiner merges rows whose keys (iterate, parameter, step count)
+    agree bit for bit."""
+
+    def test_equal_rows_merge(self):
+        key = np.array([[0.5, 1.0, 0.0], [0.25, 1.0, 0.0], [0.5, 1.0, 0.0], [0.25, 1.0, 0.0]])
+        assert oracle._first_equal(key).tolist() == [0, 1, 0, 1]
+
+    def test_signed_zeros_do_not_merge(self):
+        assert oracle._first_equal(np.array([[0.0, 1.0, 2.0], [-0.0, 1.0, 2.0]])) is None
+        key = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
+        assert oracle._first_equal(key).tolist() == [0, 1, 0]
+
+    def test_equal_checksums_of_distinct_rows(self):
+        # Column k weighs (2k + 1) times one constant, so 3 more in the bits
+        # of column 0 and 1 less in column 1 keep a row's checksum.  The exact
+        # test then tells the first two rows apart and merges the third.
+        bits = np.array([[1.0, 2.0]]).view(np.uint64)
+        twin = bits.copy()
+        twin[0, 0] += np.uint64(3)
+        twin[0, 1] -= np.uint64(1)
+        key = np.vstack([bits, twin, bits]).view(float)
+        assert oracle._first_equal(key).tolist() == [0, 1, 0]
+        assert oracle._first_equal(key[:2]) is None
 
 
 class TestImplicitFunctionCase:

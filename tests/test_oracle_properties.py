@@ -30,14 +30,21 @@ def neighbors_by_unique(idx: np.ndarray, n: int, m: int) -> np.ndarray:
 
 @st.composite
 def grid_index_sets(draw):
+    """Flat indices into ``sets`` grids of m^n points, stacked set by set."""
     n = draw(st.sampled_from([1, 2]))
     m = draw(st.integers(1, 7).map(lambda k: 2 * k + 1))
-    idx = draw(st.sets(st.integers(0, m**n - 1)))
-    return np.array(sorted(idx), dtype=np.intp), n, m
+    sets = draw(st.integers(1, 3))
+    idx = draw(st.sets(st.integers(0, sets * m**n - 1)))
+    return np.array(sorted(idx), dtype=np.intp), n, m, sets
 
 
-def _case(idx, n, m):
-    return np.array(idx, dtype=np.intp), n, m
+def _case(idx, n, m, sets=1):
+    return np.array(idx, dtype=np.intp), n, m, sets
+
+
+def stacked(per_set: list, size: int) -> np.ndarray:
+    """Each set's flat grid indices, as flat indices into the stacked grids."""
+    return np.concatenate([idx + j * size for j, idx in enumerate(per_set)])
 
 
 @given(grid_index_sets())
@@ -47,10 +54,13 @@ def _case(idx, n, m):
 @example(_case([0, 4, 20, 24], 2, 5))  # the four corners
 @example(_case([2, 10, 14, 22], 2, 5))  # one point on each edge
 @example(_case(list(range(25)), 2, 5))  # the whole grid
+@example(_case([4, 5], 1, 5, 2))  # the last point of one set and the first of the next
+@example(_case([20, 24, 25, 29], 2, 5, 2))  # the last row of one set and the first of the next
 def test_with_neighbors_matches_unique(case):
-    idx, n, m = case
-    got = _with_neighbors(idx, n, m)
-    want = neighbors_by_unique(idx, n, m)
+    idx, n, m, sets = case
+    got = _with_neighbors(idx, (sets,) + (m,) * n)
+    size = m**n
+    want = stacked([neighbors_by_unique(idx[idx // size == j] - j * size, n, m) for j in range(sets)], size)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
 
@@ -76,24 +86,27 @@ def local_minima_by_loop(res: np.ndarray, n: int, m: int) -> np.ndarray:
 
 @st.composite
 def residual_grids(draw):
+    """Residuals of ``sets`` grids of m^n points, stacked set by set."""
     n = draw(st.sampled_from([1, 2]))
     m = draw(st.integers(1, 7).map(lambda k: 2 * k + 1))
+    sets = draw(st.integers(1, 3))
     value = st.one_of(
         st.sampled_from([0.0, 1.0, 2.0, np.inf, np.nan]),
         st.floats(0.0, 10.0),
     )
-    res = draw(st.lists(value, min_size=m**n, max_size=m**n))
-    return np.array(res, dtype=float), n, m
+    res = draw(st.lists(value, min_size=sets * m**n, max_size=sets * m**n))
+    return np.array(res, dtype=float), n, m, sets
 
 
 @given(residual_grids())
-@example((np.array([1.0, np.nan, 0.0, 0.0, np.inf]), 1, 5))  # NaN and tie neighbors
-@example((np.full(9, np.inf), 2, 3))  # no finite point
-@example((np.zeros(25), 2, 5))  # a plateau: every point is a minimum
+@example((np.array([1.0, np.nan, 0.0, 0.0, np.inf]), 1, 5, 1))  # NaN and tie neighbors
+@example((np.full(9, np.inf), 2, 3, 1))  # no finite point
+@example((np.zeros(25), 2, 5, 1))  # a plateau: every point is a minimum
+@example((np.array([1.0, 2.0, 0.0, 3.0, 4.0, 4.0]), 1, 3, 2))  # index 3 is no neighbor of 2
 def test_local_minima_matches_loop(case):
-    res, n, m = case
-    got = _local_minima(res, n, m)
-    want = local_minima_by_loop(res, n, m)
+    res, n, m, sets = case
+    got = _local_minima(res.reshape((sets,) + (m,) * n))
+    want = stacked([local_minima_by_loop(r, n, m) for r in np.split(res, sets)], m**n)
     assert np.array_equal(got, want)
 
 

@@ -86,6 +86,15 @@ class TestLoadProblem:
         with pytest.raises(InputError, match="at most 10000 samples"):
             load_problem(_write(tmp_path, BASE + "\n[probe]\nsamples = 1000000000\n"))
 
+    def test_levels_bound(self, tmp_path):
+        # Past the bound the file or the --levels override is rejected at
+        # load, before any probe runs.
+        assert load_problem(_write(tmp_path, BASE + "\n[probe]\nlevels = 64\n")).probe.levels == 64
+        with pytest.raises(InputError, match="at most 64 radius levels"):
+            load_problem(_write(tmp_path, BASE + "\n[probe]\nlevels = 100000\n"))
+        with pytest.raises(InputError, match="at most 64 radius levels"):
+            load_problem(_write(tmp_path, BASE), None, {"levels": 65})
+
     def test_negative_tolerance_rejected(self, tmp_path):
         with pytest.raises(InputError):
             load_problem(_write(tmp_path, BASE + "\n[tolerances]\ntau_act = -1\n"))
