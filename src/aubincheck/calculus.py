@@ -169,19 +169,25 @@ class ProblemDerivatives:
         ws = [ex.Var("w", k + 1) for k in range(spec.d)]
         memos = {v: {} for v in xs + ws}  # one per variable, shared by f0, F and both orders
 
-        def grad(es, vs):
-            return ex.Tape(ex.differentiate(e, v, memos[v]) for e in es for v in vs)
+        def grad(es, vs, by_row=True):
+            """The derivatives of ``es`` by ``vs``, row-major (or variable-major
+            when not ``by_row``), from one walk over the nodes below ``es``."""
+            ex.derive(es, {v: memos[v] for v in vs})
+            pairs = ((e, v) for e in es for v in vs) if by_row else ((e, v) for v in vs for e in es)
+            return ex.Tape(memos[v][e] for e, v in pairs)
 
         self.F_row = ex.Tape((spec.F,))
         self.f0x = grad([spec.f0], xs)
         self.Fx = grad([spec.F], xs)
         self.Fw = grad([spec.F], ws)
         self.f0xx = grad(self.f0x, xs)
-        self.f0wx = ex.Tape(e for v in ws for e in grad(self.f0x, [v]))
+        self.f0wx = grad(self.f0x, ws, by_row=False)
         self.Fxx = grad(self.Fx, xs)
-        self.Fwx = ex.Tape(e for v in ws for e in grad(self.Fx, [v]))
+        self.Fwx = grad(self.Fx, ws, by_row=False)
+        # F and the bundle's blocks, in BLOCKS order: one tape for the bundle.
+        self.bundle_tape = ex.Tape([*self.F_row, *(e for blk in BLOCKS for e in getattr(self, blk.tape))])
 
-    # -- scalar evaluation ---------------------------------------------------
+    # -- evaluation at the reference point ------------------------------------
 
     def bundle(self, point: EvalPoint) -> DerivativeBundle:
         x, w = point.x, point.w
@@ -190,8 +196,8 @@ class ProblemDerivatives:
             raise DimensionMismatch(
                 f"point has dimensions ({len(x)}, {len(w)}), problem expects ({n}, {d})"
             )
+        values = np.array(ex.evaluate(self.bundle_tape, x, w))
         tapes = [getattr(self, blk.tape) for blk in BLOCKS]
-        values = np.array(ex.evaluate([*self.F_row, *(e for t in tapes for e in t)], x, w))
         blocks = {}
         for blk, v in zip(BLOCKS, np.split(values[1:], np.cumsum([len(t) for t in tapes[:-1]]))):
             if blk.second_order:
@@ -362,37 +368,36 @@ def verify_stationarity(
 # Finite-difference audit
 # ---------------------------------------------------------------------------
 
-def _central(f, base: np.ndarray, i: int, h: float) -> float:
-    up = base.copy()
-    dn = base.copy()
-    up[i] += h
-    dn[i] -= h
-    return (f(up) - f(dn)) / (2.0 * h)
-
-
 def finite_difference_audit(spec: ex.ProblemSpec, point: EvalPoint, h: float = 1e-5) -> dict:
     """Max absolute deviation of every bundle block from central differences.
 
     First-derivative blocks are differenced from raw f0/F values; each
     second-derivative block is differenced from the evaluated first-derivative
     level below it, so every differentiation step is checked against data that
-    did not use that step.
+    did not use that step.  Each block's 2k perturbed points are evaluated in
+    one batch; raises DomainError when a value there is not finite.
     """
     if not _finite_positive(h):
         raise InputError(f"finite-difference step must be finite and strictly positive, got {h!r}")
     derivs = problem_derivatives(spec)
     b = derivs.bundle(point)
-    x, w = point.arrays()
+    z = np.concatenate(point.arrays())
+    n = spec.n
     dev = {}
     for blk in BLOCKS:
-        rows = getattr(derivs, blk.rows) if blk.second_order else (getattr(spec, blk.rows),)
+        rows = getattr(derivs, blk.rows) if blk.second_order else ex.Tape((getattr(spec, blk.rows),))
         block = getattr(b, blk.field).reshape(-1, len(rows))
-        by_x = blk.by == "x"
-        base = x if by_x else w
-        dev[blk.field] = max(
-            abs(_central(lambda v: ex.evaluate(e, v, w) if by_x else ex.evaluate(e, x, v), base, j, h) - block[j, i])
-            for i, e in enumerate(rows)
-            for j in range(len(base))
-        )
+        axis = np.arange(n) if blk.by == "x" else n + np.arange(spec.d)
+        k = axis.size
+        # Columns z + h e_j, then z - h e_j: entry j is set, the others copied,
+        # so a -0.0 coordinate stays -0.0.
+        Z = np.tile(z[:, None], 2 * k)
+        Z[axis, np.arange(k)] = z[axis] + h
+        Z[axis, k + np.arange(k)] = z[axis] - h
+        values = derivs.eval_rows(rows, Z[:n], Z[n:])
+        if not np.all(np.isfinite(values)):
+            raise DomainError(f"a point perturbed by {h!r} for the {blk.field} audit leaves the domain")
+        fd = (values[:, :k] - values[:, k:]) / (2.0 * h)
+        dev[blk.field] = float(np.max(np.abs(fd - block.T)))
     dev["worst"] = max(dev.values())
     return dev

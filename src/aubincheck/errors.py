@@ -33,7 +33,9 @@ class ExponentError(InputError):
 
 
 class DomainError(AubinCheckError):
-    """Evaluation left the real domain (log/sqrt of a negative, division by zero)."""
+    """A value at the reference point, or at a point the finite-difference
+    audit perturbs, is not finite: ln or sqrt of a negative argument,
+    division by zero or overflow gives NaN or an infinity."""
 
 
 class DimensionMismatch(InputError):

@@ -43,7 +43,8 @@ from .errors import (
 
 __all__ = [
     "Expression", "Const", "Var", "Add", "Sub", "Mul", "Div", "Pow", "Neg", "Call", "ProblemSpec",
-    "Tape", "parse", "evaluate", "eval_array", "eval_interval", "differentiate", "render", "max_indices",
+    "Tape", "parse", "evaluate", "eval_array", "eval_interval", "derive", "differentiate", "render",
+    "max_indices",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
@@ -373,7 +374,8 @@ def parse(source: str, n: int, d: int) -> Expression:
 
 # ---------------------------------------------------------------------------
 # Evaluation: one loop over the nodes in order, with an op table per mode.
-# Each op takes (node, values so far, x, w).
+# Each op takes (node, values so far, x, w).  _BATCH computes numpy float64
+# values, scalars at one point (1-D x and w) and arrays over a batch.
 # ---------------------------------------------------------------------------
 
 def _run(roots, ops, x, w) -> list:
@@ -383,62 +385,17 @@ def _run(roots, ops, x, w) -> list:
     return [val[r] for r in roots]
 
 
-def _scalar_var(e, val, x, w):
-    vec = x if e.axis == "x" else w
-    if e.index > len(vec):
-        raise DimensionMismatch(f"{e.name} referenced but only {len(vec)} {e.axis}-component(s) supplied")
-    return float(vec[e.index - 1])
-
-
-def _scalar_div(e, val, x, w):
-    den = val[e.b]
-    if den == 0.0:
-        raise DomainError("division by zero")
-    return val[e.a] / den
-
-
-def _scalar_pow(e, val, x, w):
-    try:
-        return val[e.base] ** e.exponent
-    except OverflowError:
-        raise DomainError("overflow in power") from None
-
-
-def _scalar_call(e, val, x, w):
-    arg = val[e.a]
-    if e.fn == "ln" and arg <= 0.0:
-        raise DomainError(f"ln of non-positive argument {arg}")
-    if e.fn == "sqrt" and arg < 0.0:
-        raise DomainError(f"sqrt of negative argument {arg}")
-    try:
-        return _MATH[e.fn](arg)
-    except OverflowError:
-        raise DomainError("overflow in function evaluation") from None
-
-
-_MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log, "sqrt": math.sqrt}
 _UFUNC = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log, "sqrt": np.sqrt}
 
-_COMMON = {
-    Const: lambda e, val, x, w: e.value,
+_BATCH = {
+    Const: lambda e, val, x, w: np.float64(e.value),  # 0/0 of constants gives NaN, not ZeroDivisionError
+    Var: lambda e, val, x, w: (x if e.axis == "x" else w)[e.index - 1],
     Add: lambda e, val, x, w: val[e.a] + val[e.b],
     Sub: lambda e, val, x, w: val[e.a] - val[e.b],
     Mul: lambda e, val, x, w: val[e.a] * val[e.b],
-    Neg: lambda e, val, x, w: -val[e.a],
-}
-_SCALAR = {
-    **_COMMON,
-    Var: _scalar_var,
-    Div: _scalar_div,
-    Pow: _scalar_pow,
-    Call: _scalar_call,
-}
-_BATCH = {
-    **_COMMON,
-    Const: lambda e, val, x, w: np.float64(e.value),  # 0/0 of constants gives NaN, not ZeroDivisionError
-    Var: lambda e, val, x, w: (x if e.axis == "x" else w)[e.index - 1],
     Div: lambda e, val, x, w: val[e.a] / val[e.b],
     Pow: lambda e, val, x, w: np.power(val[e.base], e.exponent),
+    Neg: lambda e, val, x, w: -val[e.a],
     Call: lambda e, val, x, w: _UFUNC[e.fn](val[e.a]),
 }
 
@@ -536,17 +493,24 @@ _INTERVAL = {
 
 
 def evaluate(roots, x, w):
-    """Evaluate an expression, or a sequence of them, at the point (x, w).
+    """Evaluate an expression, or a sequence of them, at the point (x, w):
+    ``eval_array`` with x and w as 1-D float arrays.
 
-    Raises DomainError when a value leaves the reals (log/sqrt of a negative
-    argument, division by zero, overflow).
+    Raises DomainError when a result is not finite (ln or sqrt of a negative
+    argument, division by zero, overflow), and DimensionMismatch when an
+    expression references more components than x or w supply.
     """
-    single = isinstance(roots, _Node)
-    out = _run((roots,) if single else roots, _SCALAR, x, w)
-    for v in out:
-        if not math.isfinite(v):
-            raise DomainError(f"expression evaluated to {v}")
-    return out[0] if single else out
+    try:
+        out = eval_array(roots, np.asarray(x, dtype=np.float64), np.asarray(w, dtype=np.float64))
+    except IndexError:
+        raise DimensionMismatch(
+            f"expression references more components than supplied ({len(x)} x, {len(w)} w)"
+        ) from None
+    values = (out,) if isinstance(roots, _Node) else out
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise DomainError(f"expression evaluated to {values[int(np.argmin(finite))]}")
+    return out
 
 
 def eval_array(roots, x: np.ndarray, w: np.ndarray):
@@ -643,6 +607,22 @@ _CALL_RULES = {
 }
 
 
+def derive(roots, memos: dict) -> None:
+    """For each variable v of ``memos`` = {v: memo}, record in memo[node] the
+    exact partial derivative by v of every node below ``roots``.
+
+    One walk visits the nodes once and applies each variable's rule with
+    that variable's memo.  It does not enter nodes that every memo already
+    holds, so callers may share memos across expressions.
+    """
+    pairs = list(memos.items())
+    held = reduce(operator.and_, (memo.keys() for _, memo in pairs))
+    for node in _order(roots, held):
+        rule = _RULES[node.__class__]
+        for v, memo in pairs:
+            memo[node] = rule(node, memo, v)
+
+
 def differentiate(e: Expression, v: Var, memo: dict | None = None) -> Expression:
     """Exact symbolic partial derivative of ``e`` with respect to ``v``.
 
@@ -651,8 +631,7 @@ def differentiate(e: Expression, v: Var, memo: dict | None = None) -> Expression
     Repeated application yields exact higher derivatives.
     """
     memo = {} if memo is None else memo
-    for node in _order((e,), memo):
-        memo[node] = _RULES[node.__class__](node, memo, v)
+    derive((e,), {v: memo})
     return memo[e]
 
 

@@ -72,6 +72,22 @@ class TestDerivativeBundle:
             assert np.array_equal(b.Hxx, b.Hxx.T)
             assert np.array_equal(b.Fxx, b.Fxx.T)
 
+    def test_bundle_is_eval_rows_at_the_point(self, problems):
+        # analyze and probe read one evaluator: the bundle's unsymmetrized
+        # blocks are, bit for bit, its tapes evaluated as a one-column batch.
+        for name, pf in problems.items():
+            derivs = problem_derivatives(pf.spec)
+            b = derivs.bundle(pf.point)
+            x, w = pf.point.arrays()
+            fields = [("Fval", "F_row")] + [
+                (blk.field, blk.tape) for blk in BLOCKS if blk.by == "w" or not blk.second_order
+            ]
+            assert [f for f, _ in fields] == ["Fval", "gxf0", "gxF", "gwF", "Hwx", "Fwx"]
+            for field, tape in fields:
+                want = derivs.eval_rows(getattr(derivs, tape), x[:, None], w[:, None])[:, 0]
+                got = np.asarray(getattr(b, field), dtype=float).ravel()
+                assert got.tobytes() == want.tobytes(), (name, field)
+
     def test_mixed_block_order_agrees(self, problems):
         # d/dw d/dx f0 equals d/dx d/dw f0 at every fixture point.
         for pf in problems.values():

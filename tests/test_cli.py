@@ -136,6 +136,37 @@ class TestErrorPaths:
         code, _ = run_cli(["analyze", str(p)])
         assert code == 3
 
+    @staticmethod
+    def _assert_domain_error(code, out, err):
+        assert code == 3
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("error: DomainError:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("f0, x", [("ln(x1)", "0"), ("sqrt(x1)", "-1"), ("1/x1", "0")])
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze"], ["membership", "--xprime", "0", "--wprime", "0"], ["probe"], ["derivatives"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_point_outside_domain(self, f0, x, argv, tmp_path, capsys):
+        p = tmp_path / "domain.prob"
+        p.write_text(f'[problem]\nn = 1\nd = 1\nf0 = "{f0}"\nF = "x1 - 1"\n\n[point]\nx = [{x}]\nw = [0]\n')
+        code, out = run_cli([argv[0], str(p), *argv[1:]])
+        self._assert_domain_error(code, out, capsys.readouterr().err)
+
+    def test_fd_audit_point_outside_domain(self, tmp_path, capsys):
+        # The bundle holds no value of ln; x1 - h is negative, so the audit's
+        # difference of f0 is not.
+        p = tmp_path / "edge.prob"
+        p.write_text(
+            '[problem]\nn = 1\nd = 1\nf0 = "(x1 - 0.000001)^2 + ln(x1)*0"\nF = "x1 - 1"\n\n'
+            "[point]\nx = [0.000001]\nw = [0]\n"
+        )
+        assert run_cli(["derivatives", str(p)])[0] == 0
+        capsys.readouterr()
+        code, out = run_cli(["derivatives", str(p), "--fd-audit", "1e-5"])
+        self._assert_domain_error(code, out, capsys.readouterr().err)
+
     def test_parse_error(self, tmp_path):
         p = tmp_path / "bad.prob"
         p.write_text("not a problem file")

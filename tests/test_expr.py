@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from aubincheck.errors import (
+    DimensionMismatch,
     DomainError,
     ExponentError,
     ExpressionSyntaxError,
@@ -33,6 +34,12 @@ from aubincheck.expr import (
     parse,
     render,
 )
+
+
+def _bits(v) -> bytes:
+    """The float64 bits of ``v``: equal only for identical values, -0.0 and
+    0.0 told apart."""
+    return np.asarray(v, dtype=np.float64).tobytes()
 
 
 class TestParse:
@@ -134,12 +141,20 @@ class TestEvaluate:
         assert evaluate(parse("exp(w1)", 1, 1), [0.0], [0.3]) == pytest.approx(math.exp(0.3))
 
     def test_eval_array_matches_scalar(self):
+        # Bit for bit, the sign of zero included: the last column gives -0.0.
         e = parse("0.25*w1*x1^4 - w1*x1 - x2", 2, 1)
-        X = np.array([[0.1, -0.3, 0.7], [0.2, 0.0, -1.0]])
-        W = np.array([[1.5, 1.5, 1.5]])
+        X = np.array([[0.1, -0.3, 0.7, -0.0], [0.2, 0.0, -1.0, 0.0]])
+        W = np.array([[1.5, 1.5, 1.5, -1.5]])
         out = eval_array(e, X, W)
-        for j in range(3):
-            assert out[j] == pytest.approx(evaluate(e, X[:, j], W[:, j]), abs=1e-14)
+        assert np.signbit(out[3]) and out[3] == 0.0
+        for j in range(4):
+            assert _bits(evaluate(e, X[:, j], W[:, j])) == _bits(out[j])
+
+    def test_too_few_components(self):
+        with pytest.raises(DimensionMismatch):
+            evaluate(parse("x1 + x2", 2, 1), [1.0], [0.0])
+        with pytest.raises(DimensionMismatch):
+            evaluate([parse("x1", 1, 2), parse("w2", 1, 2)], [1.0], [0.0])
 
     def test_eval_array_nan_instead_of_raise(self):
         e = parse("ln(x1)", 1, 1)
@@ -355,6 +370,30 @@ _flat_spines = st.one_of(_spines(ops=(Add, Sub)), _spines(ops=(Mul, Div)))
 @given(st.one_of(_trees, _flat_spines))
 def test_render_parse_identity(e):
     assert parse(render(e), 2, 2) is e
+
+
+# Coordinates near the domain edges of ln, sqrt and division, signed zeros.
+_coords = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0, 1e-300, -1e-300]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees, st.lists(st.tuples(*[_coords] * 4), min_size=1, max_size=6))
+# Arguments at which Python's math and numpy differ in the last bit, and an
+# infinite intermediate with a finite result.
+@example(parse("exp(x1)", 2, 2), [(2.0281048693984527, 0.0, 0.0, 0.0)])
+@example(parse("x1^3", 2, 2), [(0.30514650575422575, 0.0, 0.0, 0.0)])
+@example(parse("1/(1/x1)", 2, 2), [(0.0, 0.0, 0.0, 0.0), (-0.0, 0.0, 0.0, 0.0)])
+def test_evaluate_is_eval_array_at_one_point(e, columns):
+    # evaluate at column j is bit for bit column j of the batch, and raises
+    # DomainError exactly where that column's value is not finite.
+    P = np.array(columns).T  # rows x1, x2, w1, w2
+    batch = np.broadcast_to(eval_array(e, P[:2], P[2:]), P.shape[1:])
+    for j, want in enumerate(batch):
+        if np.isfinite(want):
+            assert _bits(evaluate(e, P[:2, j], P[2:, j])) == _bits(want)
+        else:
+            with pytest.raises(DomainError):
+                evaluate(e, P[:2, j], P[2:, j])
 
 
 @settings(max_examples=15, deadline=None)
