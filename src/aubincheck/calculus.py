@@ -368,8 +368,11 @@ def verify_stationarity(
 # Finite-difference audit
 # ---------------------------------------------------------------------------
 
-def finite_difference_audit(spec: ex.ProblemSpec, point: EvalPoint, h: float = 1e-5) -> dict:
-    """Max absolute deviation of every bundle block from central differences.
+def finite_difference_audit(
+    spec: ex.ProblemSpec, point: EvalPoint, b: DerivativeBundle, h: float = 1e-5
+) -> dict:
+    """Max absolute deviation of every block of ``b``, the bundle of ``spec`` at
+    ``point``, from central differences.
 
     First-derivative blocks are differenced from raw f0/F values; each
     second-derivative block is differenced from the evaluated first-derivative
@@ -380,7 +383,6 @@ def finite_difference_audit(spec: ex.ProblemSpec, point: EvalPoint, h: float = 1
     if not _finite_positive(h):
         raise InputError(f"finite-difference step must be finite and strictly positive, got {h!r}")
     derivs = problem_derivatives(spec)
-    b = derivs.bundle(point)
     z = np.concatenate(point.arrays())
     n = spec.n
     dev = {}

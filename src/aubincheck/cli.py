@@ -3,6 +3,8 @@
 Subcommands: analyze (three-valued Lipschitz-like verdict), membership
 (coderivative membership query), probe (numerical Aubin probe), and
 derivatives (derivative bundle dump with optional finite-difference audit).
+``COMMANDS`` lists them; ``main`` builds only the parser of the command it
+runs, about a third of the argparse set-up of all four.
 
 Exit codes: 0 analysis completed (including an Unknown verdict or an
 Inconclusive probe); 2 input or parse error, including an expression nested
@@ -18,7 +20,7 @@ import math
 import sys
 import warnings
 
-from .calculus import derivative_bundle
+from .calculus import derivative_bundle, finite_difference_audit
 from .conditions import MODE_EXTENDED, MODE_STRICT, coderivative_membership, verdict
 from .errors import DomainError, GridTooCoarse, InputError, PreconditionError
 from .oracle import aubin_probe, write_samples_csv
@@ -150,15 +152,70 @@ def cmd_derivatives(args) -> int:
     bundle = derivative_bundle(pf.spec, pf.point)
     audit = None
     if args.fd_audit is not None:
-        from .calculus import finite_difference_audit
-
-        audit = finite_difference_audit(pf.spec, pf.point, args.fd_audit)
+        audit = finite_difference_audit(pf.spec, pf.point, bundle, args.fd_audit)
     doc = derivatives_document(pf, bundle, audit)
     _emit(args, doc, render_derivatives_text)
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _common_arguments(p, mode=True) -> None:
+    p.add_argument("file", help="problem file (sectioned key-value text)")
+    p.add_argument("--json", action="store_true", help="emit the JSON report")
+    p.add_argument(
+        "--tol-overrides",
+        nargs="*",
+        metavar="KEY=VALUE",
+        help="tolerance overrides, e.g. tau_rank=1e-8",
+    )
+    if mode:
+        p.add_argument(
+            "--mode",
+            choices=[MODE_STRICT, MODE_EXTENDED],
+            default=MODE_EXTENDED,
+            help="strict confines No verdicts to the literal theorem statements",
+        )
+
+
+def _membership_arguments(p) -> None:
+    _common_arguments(p)
+    p.add_argument("--xprime", required=True, help="comma-separated x' query vector")
+    p.add_argument("--wprime", required=True, help="comma-separated w' query vector")
+
+
+def _probe_arguments(p) -> None:
+    _common_arguments(p, mode=False)
+    p.add_argument("--csv", help="dump sampled stationary sets to this CSV file")
+    p.add_argument("--delta0", type=float, help="coarsest parameter radius")
+    p.add_argument("--samples", type=int, help="parameter draws per radius level")
+    p.add_argument("--seed", type=int, help="deterministic sampling seed")
+    p.add_argument("--levels", type=int, help="number of radius levels")
+    p.add_argument("--box-radius", type=float, help="stationary-set box radius around x")
+    p.add_argument("--grid-points", type=int, help="grid points per axis (odd)")
+
+
+def _derivatives_arguments(p) -> None:
+    _common_arguments(p, mode=False)
+    p.add_argument(
+        "--fd-audit",
+        type=float,
+        metavar="H",
+        help="audit the bundle against central differences with step H",
+    )
+
+
+# name -> (help, handler, argument adder), in the order the help lists them
+COMMANDS = {
+    "analyze": ("three-valued Lipschitz-like verdict", cmd_analyze, _common_arguments),
+    "membership": ("coderivative membership query", cmd_membership, _membership_arguments),
+    "probe": ("numerical Aubin probe (evidence, not judgment)", cmd_probe, _probe_arguments),
+    "derivatives": ("derivative bundle dump", cmd_derivatives, _derivatives_arguments),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The CLI's parser: with only ``command``'s subparser when it names a
+    command, else with all of them.  Either parses a command line that starts
+    with ``command`` the same way, and prints the same usage and errors."""
     parser = argparse.ArgumentParser(
         prog="aubincheck",
         description=(
@@ -167,62 +224,26 @@ def build_parser() -> argparse.ArgumentParser:
             "reference point."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, mode=True):
-        p.add_argument("file", help="problem file (sectioned key-value text)")
-        p.add_argument("--json", action="store_true", help="emit the JSON report")
-        p.add_argument(
-            "--tol-overrides",
-            nargs="*",
-            metavar="KEY=VALUE",
-            help="tolerance overrides, e.g. tau_rank=1e-8",
-        )
-        if mode:
-            p.add_argument(
-                "--mode",
-                choices=[MODE_STRICT, MODE_EXTENDED],
-                default=MODE_EXTENDED,
-                help="strict confines No verdicts to the literal theorem statements",
-            )
-
-    p = sub.add_parser("analyze", help="three-valued Lipschitz-like verdict")
-    common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("membership", help="coderivative membership query")
-    common(p)
-    p.add_argument("--xprime", required=True, help="comma-separated x' query vector")
-    p.add_argument("--wprime", required=True, help="comma-separated w' query vector")
-    p.set_defaults(func=cmd_membership)
-
-    p = sub.add_parser("probe", help="numerical Aubin probe (evidence, not judgment)")
-    common(p, mode=False)
-    p.add_argument("--csv", help="dump sampled stationary sets to this CSV file")
-    p.add_argument("--delta0", type=float, help="coarsest parameter radius")
-    p.add_argument("--samples", type=int, help="parameter draws per radius level")
-    p.add_argument("--seed", type=int, help="deterministic sampling seed")
-    p.add_argument("--levels", type=int, help="number of radius levels")
-    p.add_argument("--box-radius", type=float, help="stationary-set box radius around x")
-    p.add_argument("--grid-points", type=int, help="grid points per axis (odd)")
-    p.set_defaults(func=cmd_probe)
-
-    p = sub.add_parser("derivatives", help="derivative bundle dump")
-    common(p, mode=False)
-    p.add_argument(
-        "--fd-audit",
-        type=float,
-        metavar="H",
-        help="audit the bundle against central differences with step H",
-    )
-    p.set_defaults(func=cmd_derivatives)
-
+    if command in COMMANDS:
+        # The usage line still lists every command.  A metavar also renames the
+        # action in the errors for a missing or unknown command, which only the
+        # full parser can raise, so it is set only here.
+        names, metavar = (command,), "{" + ",".join(COMMANDS) + "}"
+    else:
+        names, metavar = tuple(COMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, handler, add_arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

@@ -252,22 +252,23 @@ class TestStationarity:
 class TestFiniteDifferenceAudit:
     def test_circle(self, problems):
         pf = problems["circle_boundary"]
-        dev = finite_difference_audit(pf.spec, pf.point, 1e-5)
+        dev = finite_difference_audit(pf.spec, pf.point, _bundle(problems, "circle_boundary"), 1e-5)
         assert dev["worst"] <= 1e-6
 
     def test_moving_plane(self, problems):
         pf = problems["moving_plane"]
-        dev = finite_difference_audit(pf.spec, pf.point, 1e-5)
+        dev = finite_difference_audit(pf.spec, pf.point, _bundle(problems, "moving_plane"), 1e-5)
         assert dev["worst"] <= 1e-6
 
     def test_constant_problem_exact(self):
         spec = ProblemSpec(1, 1, parse("3", 1, 1), parse("-1", 1, 1))
-        dev = finite_difference_audit(spec, EvalPoint([0.2], [0.4]), 1e-5)
+        point = EvalPoint([0.2], [0.4])
+        dev = finite_difference_audit(spec, point, derivative_bundle(spec, point), 1e-5)
         assert dev["worst"] == 0.0
 
     def test_all_fixtures(self, problems):
-        for pf in problems.values():
-            dev = finite_difference_audit(pf.spec, pf.point, 1e-5)
+        for name, pf in problems.items():
+            dev = finite_difference_audit(pf.spec, pf.point, _bundle(problems, name), 1e-5)
             assert dev["worst"] <= 1e-6, pf.path
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -9,11 +10,12 @@ import sys
 
 import pytest
 
-from aubincheck.calculus import BLOCKS
-from aubincheck.cli import main
+from aubincheck.calculus import BLOCKS, ProblemDerivatives
+from aubincheck.cli import COMMANDS, build_parser, main
 from conftest import FIXTURE_NAMES, PROBEABLE, fixture_path, problem_dims
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+ROOT = GOLDEN_DIR.parent.parent
 
 
 def run_cli(argv):
@@ -487,6 +489,21 @@ class TestDerivativesCommand:
         assert b["gxf0"] == [0.0] and b["Hxx"] == [[0.0]]
         assert b["F_value"] == -1.0
 
+    @pytest.mark.parametrize("extra", [[], ["--fd-audit", "1e-5"]])
+    def test_one_bundle_evaluation(self, extra, monkeypatch):
+        # The audit checks the bundle the report prints; it evaluates none of its own.
+        calls = []
+        bundle = ProblemDerivatives.bundle
+
+        def counting(self, point):
+            calls.append(point)
+            return bundle(self, point)
+
+        monkeypatch.setattr(ProblemDerivatives, "bundle", counting)
+        code, _ = run_cli(["derivatives", fixture_path("moving_plane"), *extra])
+        assert code == 0
+        assert len(calls) == 1
+
     def test_fd_audit(self):
         code, out = run_cli(
             ["derivatives", fixture_path("moving_plane"), "--json", "--fd-audit", "1e-5"]
@@ -531,3 +548,97 @@ class TestNoPanicSweep:
                 assert code == 0, (name, argv)
         code, _ = run_cli(["probe", fixture_path("trust_region")])
         assert code == 4
+
+
+class TestCliSurface:
+    """Usage, help and argument errors, byte for byte.  ``cli_surface.json``
+    holds stdout, stderr and the exit code of each argv, run from the root of
+    the checkout with ``COLUMNS=80`` so that help wrapping does not depend on
+    the terminal."""
+
+    SURFACE = json.loads((GOLDEN_DIR / "cli_surface.json").read_text())
+    F = "fixtures/moving_plane.prob"
+
+    @staticmethod
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+    @pytest.mark.parametrize("entry", SURFACE, ids=lambda e: " ".join(e["argv"]) or "no-arguments")
+    def test_matches_golden(self, entry, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(ROOT)
+        assert self.run(entry["argv"]) == entry
+
+    # Command lines per command: every probe flag, --tol-overrides with 0, 1
+    # and 2 pairs, both --mode values.
+    ARGVS = {
+        "analyze": [
+            [F], [F, "--json"], [F, "--mode", "strict"], [F, "--mode", "extended"],
+            [F, "--tol-overrides"], [F, "--tol-overrides", "tau_rank=1e-8"],
+            [F, "--tol-overrides", "tau_rank=1e-8", "tau_col=1e-6", "--json"],
+        ],
+        "membership": [
+            [F, "--xprime", "1,0", "--wprime", "0,1"],
+            ["--xprime", "0,0", "--wprime", "0,0", "--mode", "strict", "--json", F],
+            [F, "--xprime", "1,0", "--wprime", "0,1", "--tol-overrides", "tau_rank=1e-8"],
+        ],
+        "probe": [
+            [F],
+            [F, "--csv", "out.csv", "--delta0", "0.1", "--samples", "8", "--seed", "3", "--levels", "2",
+             "--box-radius", "0.5", "--grid-points", "11", "--json"],
+            [F, "--tol-overrides", "tau_rank=1e-8", "tau_col=1e-6"],
+        ],
+        "derivatives": [
+            [F], [F, "--fd-audit", "1e-5", "--json"], [F, "--tol-overrides"],
+        ],
+    }
+
+    def test_commands_table_covers_the_argvs(self):
+        assert tuple(self.ARGVS) == tuple(COMMANDS)
+
+    @pytest.mark.parametrize("command", list(ARGVS))
+    def test_one_command_parser_parses_like_the_full_parser(self, command):
+        for argv in self.ARGVS[command]:
+            argv = [command, *argv]
+            assert vars(build_parser(command).parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+    @staticmethod
+    def _commands(parser):
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return list(sub.choices)
+
+    def test_builds_only_the_named_command(self):
+        assert self._commands(build_parser()) == list(COMMANDS)
+        for command in (None, "foo", "-h"):
+            assert self._commands(build_parser(command)) == list(COMMANDS)
+        for command in COMMANDS:
+            assert self._commands(build_parser(command)) == [command]
+
+    @staticmethod
+    def _module(*argv):
+        # The console script's path: main() reads sys.argv itself.
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS="80")
+        env.pop("PYTHONWARNINGS", None)
+        return subprocess.run(
+            [sys.executable, "-m", "aubincheck.cli", *argv],
+            capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
+        )
+
+    def test_module_without_arguments(self):
+        proc = self._module()
+        (pinned,) = [e for e in self.SURFACE if e["argv"] == []]
+        assert proc.returncode == 2
+        assert proc.stderr == pinned["stderr"]
+        assert proc.stdout == ""
+
+    def test_module_analyze_json(self):
+        proc = self._module("analyze", self.F, "--json")
+        assert proc.returncode == 0
+        assert proc.stdout == (GOLDEN_DIR / "moving_plane_analyze.json").read_text()
+        assert proc.stderr == ""
