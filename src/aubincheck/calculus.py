@@ -91,6 +91,14 @@ class EvalPoint:
         return np.array(self.x), np.array(self.w)
 
 
+def _check_dims(spec: ex.ProblemSpec, x, w) -> None:
+    """Raise DimensionMismatch unless x has spec.n entries and w spec.d."""
+    if len(x) != spec.n or len(w) != spec.d:
+        raise DimensionMismatch(
+            f"point has dimensions ({len(x)}, {len(w)}), problem expects ({spec.n}, {spec.d})"
+        )
+
+
 class Block(NamedTuple):
     """A bundle block: its DerivativeBundle field, the ProblemDerivatives tape
     holding it, the rows the audit differences (f0 or F, or the gradient tape
@@ -192,10 +200,7 @@ class ProblemDerivatives:
     def bundle(self, point: EvalPoint) -> DerivativeBundle:
         x, w = point.x, point.w
         n, d = self.spec.n, self.spec.d
-        if len(x) != n or len(w) != d:
-            raise DimensionMismatch(
-                f"point has dimensions ({len(x)}, {len(w)}), problem expects ({n}, {d})"
-            )
+        _check_dims(self.spec, x, w)
         values = np.array(ex.evaluate(self.bundle_tape, x, w))
         tapes = [getattr(self, blk.tape) for blk in BLOCKS]
         blocks = {}
@@ -227,11 +232,6 @@ class ProblemDerivatives:
         H = [ex.Add(h, ex.Mul(lam, hF)) for h, hF in zip(self.f0xx, self.Fxx)]
         J = [e for i in range(n) for e in (*H[i * n : (i + 1) * n], self.Fx[i])] + [*self.Fx, ex.Const(0.0)]
         return {"interior": (self.f0x, self.f0xx), "boundary": (ex.Tape(G), ex.Tape(J))}
-
-    def param_rows(self, w, N: int) -> np.ndarray:
-        W = np.empty((self.spec.d, N))
-        W[:] = np.asarray(w, dtype=float)[:, None]
-        return W
 
     def eval_rows(self, tape: ex.Tape, X: np.ndarray, W: np.ndarray) -> np.ndarray:
         """Evaluate a tape over the batch; returns (len(tape), N).

@@ -63,6 +63,7 @@ from .calculus import (
     ProblemDerivatives,
     ToleranceConfig,
     _activity_threshold,
+    _check_dims,
     _finite_positive,
     problem_derivatives,
 )
@@ -246,9 +247,10 @@ def kkt_residual(spec: ProblemSpec, x, w, tol: ToleranceConfig = ToleranceConfig
     is undefined; at any other boundary point the residual minimizes
     ||grad f0 + lam grad F|| over lam >= 0 in closed form.
     """
-    derivs = problem_derivatives(spec)
-    X = np.asarray(x, dtype=float).reshape(-1, 1)
-    res, _, _ = _kkt_batch(derivs, X, derivs.param_rows(w, 1), tol)
+    x = np.asarray(x, dtype=float).reshape(-1)
+    w = np.asarray(w, dtype=float).reshape(-1)
+    _check_dims(spec, x, w)
+    res, _, _ = _kkt_batch(problem_derivatives(spec), x[:, None], w[:, None], tol)
     return float(res[0])
 
 
@@ -769,13 +771,9 @@ class LevelStats:
 class ProbeReport:
     """Evidence about the Lipschitz-like property gathered by sampling.
 
-    flag semantics: Violation when per-level worst ratios grow by at least
-    the ``growth`` factor across every consecutive radius level and the
-    finest worst ratio exceeds ``blowup``, or when an empty-value event
-    (perturbed set nonempty near x while the base set vanished from the box)
-    occurs at every level; Consistent when no events occur and all worst
-    ratios stay within 10x the coarsest-level median (or under the numeric
-    floor); otherwise Inconclusive.
+    ``flag`` and ``flag_reason`` come from ``_flag``, which states the flag
+    semantics.  ``samples`` (with ``keep_samples``) lists every sampled
+    stationary set in sampling order, and ``warnings`` follows it.
     """
 
     flag: str
@@ -885,61 +883,41 @@ def aubin_probe(
 
         max over x' in S(perturbed) near x of d(x', S(base)) / ||perturbed - base||
 
-    is recorded.  See ProbeReport for the flag semantics.
+    is recorded.  See ``_flag`` for the flag semantics.
     """
     if spec.n > 2 or spec.d > 2:
         raise DimensionMismatch("the probe supports n <= 2 and d <= 2")
+    _check_dims(spec, point.x, point.w)
     derivs = problem_derivatives(spec)
     x_center, w_bar = point.arrays()
     rho_u = cfg.rho_u if cfg.rho_u is not None else grid.r_x / 2.0
     # The distance polish only needs quadratic-convergent corrections.
     polish_grid = dataclasses.replace(grid, newton_cap=min(grid.newton_cap, 10))
+    polisher = _Refiner(derivs, polish_grid, tol, x_center)
 
-    # Each level's sets are sampled together, before any is requested; the
-    # first request fixes a set's place in the report's sample order.
+    # Parameter key -> (SampleSet, its points within rho_u of x), in sampling order.
     sampled: dict = {}
-    requested: dict = {}
-
-    def key(wv) -> tuple:
-        return tuple(float(v) for v in wv)
-
-    def get_set(kw: tuple) -> SampleSet:
-        if kw not in requested:
-            requested[kw] = sampled[kw]
-        return requested[kw]
-
-    near_x: dict = {}
     # Whether every draw so far rounds to w_bar, so that no pair can be measured.
     unresolved = True
-    polisher = _Refiner(derivs, polish_grid, tol, x_center)
     levels: list[LevelStats] = []
-    level0_ratios: list[float] = []
-    warn_seen: list[str] = []
 
     for k in range(cfg.levels):
         delta = cfg.delta0 * 2.0 ** (-k)
         radii = _relative_radii(k, cfg.samples)
         dirs = _directions(spec.d, len(radii), cfg.seed + k)
-        draws = [w_bar + delta * r * u for r, u in zip(radii, dirs)]
-
         # Pairs index pts, the draws and then w_bar.
-        pts = draws + [w_bar]
-        keys = [key(wv) for wv in pts]
-        bar = len(draws)
+        pts = [w_bar + delta * r * u for r, u in zip(radii, dirs)] + [w_bar]
+        keys = [tuple(float(v) for v in wv) for wv in pts]
+        bar = len(pts) - 1
 
-        # In the order of first request: the first draw, w_bar, the rest.
+        # The level's new sets, sampled together: the first draw, w_bar, the rest.
         new: dict = {}
         for i in [0, bar] + list(range(1, bar)):
             if keys[i] not in sampled:
                 new.setdefault(keys[i], pts[i])
         if new:
-            sets = _sample_sets(derivs, list(new.values()), x_center, grid, tol)
-            sampled.update(zip(new, sets))
-            # Each set's points near x, for every pair it is perturbed in.
-            near_x.update(
-                (kw, S.points[np.linalg.norm(S.points - x_center[None, :], axis=1) <= rho_u])
-                for kw, S in zip(new, sets)
-            )
+            for kw, S in zip(new, _sample_sets(derivs, list(new.values()), x_center, grid, tol)):
+                sampled[kw] = (S, S.points[np.linalg.norm(S.points - x_center[None, :], axis=1) <= rho_u])
         unresolved = unresolved and all(kw == keys[bar] for kw in keys)
 
         pairs = []
@@ -948,118 +926,53 @@ def aubin_probe(
         for i in range(0, bar - 1, 4):
             pairs += [(i, i + 1), (i + 1, i)]
 
-        # (base, pert, dist_w, near) per measured pair, near = None for an
-        # empty-value event; all ratio pairs are polished together.
-        measured = []
-        queries = []
-        gaps: dict = {}  # ||pert - base||, the same both ways
+        # A pair whose perturbed set has points near x is an empty-value event
+        # when its base set is empty, and a ratio pair otherwise; all the
+        # level's ratio pairs are polished together.
+        events, ratio_pairs, queries = [], [], []
         for base, pert in pairs:
-            dist_w = gaps.get((pert, base))
-            if dist_w is None:
-                dist_w = gaps[(base, pert)] = float(np.linalg.norm(pts[pert] - pts[base]))
-            if dist_w == 0.0:
+            dist_w = float(np.linalg.norm(pts[pert] - pts[base]))
+            near = sampled[keys[pert]][1]
+            if dist_w == 0.0 or near.shape[0] == 0:
                 continue
-            if get_set(keys[pert]).is_empty:
-                continue
-            near = near_x[keys[pert]]
-            if near.shape[0] == 0:
-                continue
-            S_base = get_set(keys[base])
+            S_base = sampled[keys[base]][0]
             if S_base.is_empty:
-                measured.append((base, pert, dist_w, None))
-                continue
-            measured.append((base, pert, dist_w, near))
-            queries.append((near, S_base))
-        pair_dists = iter(_set_distances(queries, polisher))
+                events.append((base, pert))
+            else:
+                ratio_pairs.append((base, pert, dist_w, near))
+                queries.append((near, S_base))
 
-        n_ratio_pairs = 0
-        events = 0
-        worst = None
-        worst_pair = None
-        for base, pert, dist_w, near in measured:
-            if near is None:
-                events += 1
-                if worst_pair is None:
-                    worst_pair = {
-                        "w_base": [float(v) for v in pts[base]],
-                        "w_perturbed": [float(v) for v in pts[pert]],
-                        "event": "empty_base_set",
-                        "ratio": None,
-                    }
-                continue
-            dists = next(pair_dists)
+        peaks = []  # (ratio, base, pert, x', distance) at each ratio pair's worst x'
+        for (base, pert, dist_w, near), dists in zip(ratio_pairs, _set_distances(queries, polisher)):
             ratios = dists / dist_w
             i_max = int(np.argmax(ratios))
-            ratio = float(ratios[i_max])
-            n_ratio_pairs += 1
-            if k == 0:
-                level0_ratios.append(ratio)
-            if worst is None or ratio > worst:
-                worst = ratio
-                worst_pair = {
-                    "w_base": [float(v) for v in pts[base]],
-                    "w_perturbed": [float(v) for v in pts[pert]],
-                    "x_point": [float(v) for v in near[i_max]],
-                    "distance": float(dists[i_max]),
-                    "ratio": ratio,
-                }
-        levels.append(
-            LevelStats(delta, len(pairs), n_ratio_pairs, worst, events, worst_pair)
-        )
+            peaks.append((float(ratios[i_max]), base, pert, near[i_max], float(dists[i_max])))
+        if k == 0:
+            significant = [p[0] for p in peaks if p[0] > cfg.ratio_floor]
+            baseline = float(np.median(significant)) if significant else None
 
-    order = list(requested.values())
-    for s in order:
-        for msg in s.warnings:
-            if msg not in warn_seen:
-                warn_seen.append(msg)
+        worst, worst_pair = None, None
+        if peaks:
+            worst, base, pert, x_point, distance = max(peaks, key=lambda p: p[0])
+            worst_pair = {
+                "w_base": [float(v) for v in pts[base]],
+                "w_perturbed": [float(v) for v in pts[pert]],
+                "x_point": [float(v) for v in x_point],
+                "distance": distance,
+                "ratio": worst,
+            }
+        elif events:
+            base, pert = events[0]
+            worst_pair = {
+                "w_base": [float(v) for v in pts[base]],
+                "w_perturbed": [float(v) for v in pts[pert]],
+                "event": "empty_base_set",
+                "ratio": None,
+            }
+        levels.append(LevelStats(delta, len(pairs), len(peaks), worst, len(events), worst_pair))
 
-    significant = [r for r in level0_ratios if r > cfg.ratio_floor]
-    baseline = float(np.median(significant)) if significant else None
-
-    worsts = [lv.worst_ratio for lv in levels]
-    events_every_level = all(lv.empty_value_events > 0 for lv in levels)
-    growth_fires = (
-        all(wr is not None for wr in worsts)
-        and all(worsts[i + 1] >= cfg.growth * worsts[i] for i in range(len(worsts) - 1))
-        and worsts[-1] > cfg.blowup
-    )
-
-    if events_every_level:
-        flag = FLAG_VIOLATION
-        reason = "empty-value events at every radius level: the base stationary set vanishes from the box while the perturbed one persists"
-    elif growth_fires:
-        flag = FLAG_VIOLATION
-        reason = (
-            f"worst distance ratios grew by >= {cfg.growth}x across every consecutive "
-            f"radius level and reached {worsts[-1]:.3g} > {cfg.blowup} at the finest level"
-        )
-    else:
-        total_events = sum(lv.empty_value_events for lv in levels)
-        measured = [wr for wr in worsts if wr is not None]
-        bound = 10.0 * baseline if baseline is not None else cfg.ratio_floor
-        consistent = (
-            total_events == 0
-            and len(measured) > 0
-            and all(wr <= max(bound, cfg.ratio_floor) for wr in measured)
-        )
-        if consistent:
-            flag = FLAG_CONSISTENT
-            reason = (
-                "all worst ratios stay within 10x the coarsest-level median"
-                if baseline is not None
-                else "all measured ratios are below the numeric floor"
-            )
-        elif not measured and total_events == 0:
-            flag = FLAG_INCONCLUSIVE
-            reason = "nothing was measured: no ratio and no empty-value event at any radius level, because " + (
-                "every parameter draw rounds to the reference w"
-                if unresolved
-                else "no perturbed stationary set has a point within rho_u of the reference x"
-            )
-        else:
-            flag = FLAG_INCONCLUSIVE
-            reason = "ratios neither stayed bounded near the baseline nor grew consistently past the thresholds"
-
+    flag, reason = _flag(levels, baseline, cfg, unresolved)
+    sets = [S for S, _ in sampled.values()]
     return ProbeReport(
         flag=flag,
         flag_reason=reason,
@@ -1071,9 +984,57 @@ def aubin_probe(
         growth=cfg.growth,
         blowup=cfg.blowup,
         ratio_floor=cfg.ratio_floor,
-        warnings=tuple(warn_seen),
-        samples=order if keep_samples else None,
+        warnings=tuple(dict.fromkeys(msg for S in sets for msg in S.warnings)),
+        samples=sets if keep_samples else None,
     )
+
+
+def _flag(levels: list, baseline: float | None, cfg: ProbeConfig, unresolved: bool) -> tuple:
+    """The probe's (flag, reason) from its levels, the median of the
+    coarsest level's ratios above the floor (``baseline``), the thresholds
+    of ``cfg``, and whether every draw rounds to the reference w
+    (``unresolved``).
+
+    Violation when an empty-value event (perturbed set nonempty near x while
+    the base set vanished from the box) occurs at every level, or when the
+    per-level worst ratios grow by at least the ``growth`` factor across
+    every consecutive radius level and the finest worst ratio exceeds
+    ``blowup``; Consistent when no events occur and all worst ratios stay
+    within 10x the baseline (or under the numeric floor); otherwise
+    Inconclusive.  When no level has a ratio or an event, the reason says
+    that nothing was measured and why.
+    """
+    if all(lv.empty_value_events > 0 for lv in levels):
+        return FLAG_VIOLATION, (
+            "empty-value events at every radius level: the base stationary set vanishes "
+            "from the box while the perturbed one persists"
+        )
+    worsts = [lv.worst_ratio for lv in levels]
+    if (
+        all(wr is not None for wr in worsts)
+        and all(b >= cfg.growth * a for a, b in zip(worsts, worsts[1:]))
+        and worsts[-1] > cfg.blowup
+    ):
+        return FLAG_VIOLATION, (
+            f"worst distance ratios grew by >= {cfg.growth}x across every consecutive "
+            f"radius level and reached {worsts[-1]:.3g} > {cfg.blowup} at the finest level"
+        )
+    measured = [wr for wr in worsts if wr is not None]
+    events = sum(lv.empty_value_events for lv in levels)
+    if not measured and not events:
+        return FLAG_INCONCLUSIVE, "nothing was measured: no ratio and no empty-value event at any radius level, because " + (
+            "every parameter draw rounds to the reference w"
+            if unresolved
+            else "no perturbed stationary set has a point within rho_u of the reference x"
+        )
+    bound = max(10.0 * baseline, cfg.ratio_floor) if baseline is not None else cfg.ratio_floor
+    if not events and all(wr <= bound for wr in measured):
+        return FLAG_CONSISTENT, (
+            "all worst ratios stay within 10x the coarsest-level median"
+            if baseline is not None
+            else "all measured ratios are below the numeric floor"
+        )
+    return FLAG_INCONCLUSIVE, "ratios neither stayed bounded near the baseline nor grew consistently past the thresholds"
 
 
 def write_samples_csv(samples, path, n: int, d: int):

@@ -443,7 +443,7 @@ class TestProbeCommand:
         assert ".py:" not in proc.stderr
 
     # sha256 of `probe --csv`: the rows follow the order in which the probe
-    # first requests each stationary set, so a reordering shows here.
+    # samples the stationary sets, so a reordering shows here.
     # The CSV is the only output that shows each point's branch, lambda and
     # residual.  Every number is written as repr of a Python float, so the
     # text does not depend on the numpy version.
@@ -457,6 +457,19 @@ class TestProbeCommand:
         "product_constraint": "549895cc244448596dec3558f0bb45965dc24ce732de1aa54237aac7e4ffebd6",
         "quartic_cuberoot": "55a01c20811e6ce8fa51722340c8c75306c992bccfe9f6a718b5ae31327f55ee",
     }
+
+    def test_csv_lists_every_sampled_set(self, tmp_path):
+        # Every draw rounds to the reference w = 1, so no pair is measured;
+        # the CSV still lists the one set the probe sampled, S(1) = {1}.
+        csv_path = tmp_path / "samples.csv"
+        argv = ["probe", fixture_path("circle_boundary"), "--delta0", "1e-300", "--levels", "2"]
+        code, out = run_cli(argv + ["--json", "--csv", str(csv_path)])
+        assert code == 0
+        assert json.loads(out)["probe"]["flag_reason"].startswith("nothing was measured")
+        assert csv_path.read_text().splitlines() == [
+            "w1,x1,residual,branch,lambda",
+            "1.0,1.0,0.0,boundary,1.0",
+        ]
 
     @pytest.mark.parametrize("name", PROBEABLE)
     def test_json_matches_golden(self, name, tmp_path):

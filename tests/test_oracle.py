@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -26,7 +27,8 @@ from conftest import PROBEABLE
 
 TOL = ToleranceConfig()
 
-NEWTON_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "newton_steps.json"
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+NEWTON_GOLDEN = GOLDEN_DIR / "newton_steps.json"
 
 
 def record_newton_steps(monkeypatch, n: int) -> dict:
@@ -438,6 +440,39 @@ class TestAubinProbe:
         assert r.flag == "Inconclusive"
         assert all(lv.n_ratio_pairs == 0 and lv.empty_value_events == 0 for lv in r.levels)
         assert r.flag_reason.startswith("nothing was measured") and r.flag_reason.endswith(cause)
+
+    @pytest.mark.parametrize("name", PROBEABLE)
+    def test_flag_rule_reproduces_golden(self, name):
+        # The flag rule reads only the levels, the baseline and the
+        # thresholds: applied to a golden report's, it gives its flag.
+        doc = json.loads((GOLDEN_DIR / f"{name}_probe.json").read_text())["probe"]
+        levels = [oracle.LevelStats(**lv) for lv in doc["levels"]]
+        cfg = ProbeConfig(
+            delta0=doc["delta0"],
+            levels=len(levels),
+            growth=doc["growth_threshold"],
+            blowup=doc["blowup_threshold"],
+            ratio_floor=doc["ratio_floor"],
+            seed=doc["seed"],
+        )
+        got = oracle._flag(levels, doc["baseline_median"], cfg, False)
+        assert got == (doc["flag"], doc["flag_reason"])
+
+    # n = 2, d = 1: too few x entries, too many w entries, too many x entries.
+    @pytest.mark.parametrize("x, w", [([0.0], [0.0]), ([0.0, 0.0], [0.0, 0.0]), ([0.0, 0.0, 0.0], [0.0])])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda spec, x, w: kkt_residual(spec, x, w, TOL),
+            lambda spec, x, w: aubin_probe(spec, EvalPoint(x, w), ProbeConfig(levels=2, samples=8)),
+        ],
+        ids=["kkt_residual", "aubin_probe"],
+    )
+    def test_point_dimensions(self, call, x, w):
+        spec = ProblemSpec(2, 1, parse("x1^2 + x2^2 - w1*x1", 2, 1), parse("x1 - 5", 2, 1))
+        expected = f"point has dimensions ({len(x)}, {len(w)}), problem expects (2, 1)"
+        with pytest.raises(DimensionMismatch, match=re.escape(expected)):
+            call(spec, x, w)
 
     def test_levels_bound(self):
         assert ProbeConfig(levels=oracle._MAX_LEVELS).levels == 64

@@ -1,17 +1,28 @@
-"""Property tests of the oracle's grid helpers, Newton step and refiner."""
+"""Property tests of the oracle's grid helpers, Newton step, refiner and
+flag rule."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from aubincheck import oracle  # noqa: E402
 from aubincheck.calculus import ToleranceConfig, problem_derivatives  # noqa: E402
 from aubincheck.expr import ProblemSpec, parse  # noqa: E402
-from aubincheck.oracle import _DET_TAU, GridSpec, _local_minima, _pinv_step, _with_neighbors  # noqa: E402
+from aubincheck.oracle import (  # noqa: E402
+    _DET_TAU,
+    GridSpec,
+    LevelStats,
+    ProbeConfig,
+    _flag,
+    _local_minima,
+    _pinv_step,
+    _with_neighbors,
+)
 
 
 def neighbors_by_unique(idx: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -256,3 +267,117 @@ def test_refiner_stream_equals_each_row_alone(stream):
                     alone = refiner.run(seeds[r : r + 1], W[:, r : r + 1], branch, np.arange(1))
                     for a, b in zip(alone, batch):
                         assert a[0].tobytes() == b[r].tobytes(), (branch, r, rows[r])
+
+
+# ---------------------------------------------------------------------------
+# The flag rule
+# ---------------------------------------------------------------------------
+
+NOTHING_MEASURED = "nothing was measured"
+CAUSES = {
+    True: "every parameter draw rounds to the reference w",
+    False: "no perturbed stationary set has a point within rho_u of the reference x",
+}
+
+
+def _levels(worsts: list, events: list) -> list:
+    """LevelStats with the given worst ratios (None: no ratio pair) and
+    empty-value event counts, at halving radii."""
+    return [
+        LevelStats(0.1 * 2.0**-k, 160, 0 if wr is None else 160, wr, ev, None)
+        for k, (wr, ev) in enumerate(zip(worsts, events))
+    ]
+
+
+@st.composite
+def flag_inputs(draw):
+    """(levels, baseline, cfg, unresolved) for ``_flag``: 2-5 levels, each
+    with or without a worst ratio and with 0-3 empty-value events."""
+    count = draw(st.integers(2, 5))
+    worsts = draw(st.lists(st.none() | st.floats(0.0, 1e3), min_size=count, max_size=count))
+    events = draw(st.lists(st.integers(0, 3), min_size=count, max_size=count))
+    baseline = draw(st.none() | st.floats(1e-3, 1e2))
+    cfg = ProbeConfig(
+        levels=count,
+        growth=draw(st.floats(0.1, 10.0)),
+        blowup=draw(st.floats(1.0, 1e3)),
+        ratio_floor=draw(st.floats(1e-9, 1e-2)),
+    )
+    return _levels(worsts, events), baseline, cfg, draw(st.booleans())
+
+
+CONSISTENT = (_levels([1.0, 1.2, 0.9], [0, 0, 0]), 1.0, ProbeConfig(levels=3), False)
+FLOORED = (_levels([1e-9, None], [0, 0]), None, ProbeConfig(), False)
+GROWTH = (_levels([1.0, 3.0, 9.0, 150.0], [0, 0, 0, 0]), 1.0, ProbeConfig(), False)
+NOTHING = (_levels([None, None], [0, 0]), None, ProbeConfig(), True)
+
+
+@given(flag_inputs(), st.integers(0, 4), st.integers(1, 10))
+@example(CONSISTENT, 2, 1)
+@example(FLOORED, 1, 1)
+def test_events_never_give_consistent(case, i, extra):
+    levels, baseline, cfg, unresolved = case
+    i %= len(levels)
+    levels[i] = dataclasses.replace(levels[i], empty_value_events=levels[i].empty_value_events + extra)
+    assert _flag(levels, baseline, cfg, unresolved)[0] != "Consistent"
+
+
+@given(flag_inputs(), st.integers(0, 4), st.floats(0.0, 1e6))
+@example(GROWTH, 1, 0.5)  # growth breaks: Violation turns Inconclusive
+@example((_levels([1.0, 11.0], [0, 0]), 1.0, ProbeConfig(), False), 0, 5.0)
+@example((_levels([1.0, None], [0, 1]), 1.0, ProbeConfig(), False), 0, 0.0)
+def test_raising_a_ratio_never_gives_consistent(case, i, rise):
+    levels, baseline, cfg, unresolved = case
+    measured = [j for j, lv in enumerate(levels) if lv.worst_ratio is not None]
+    assume(measured)
+    before = _flag(levels, baseline, cfg, unresolved)[0]
+    j = measured[i % len(measured)]
+    levels[j] = dataclasses.replace(levels[j], worst_ratio=levels[j].worst_ratio + rise)
+    if before != "Consistent":
+        assert _flag(levels, baseline, cfg, unresolved)[0] != "Consistent"
+
+
+@given(flag_inputs(), st.lists(st.integers(1, 10), min_size=5, max_size=5))
+@example(CONSISTENT, [1, 1, 1, 1, 1])
+@example(GROWTH, [1, 2, 3, 4, 5])
+@example(NOTHING, [1, 1, 1, 1, 1])
+def test_events_at_every_level_give_violation(case, counts):
+    levels, baseline, cfg, unresolved = case
+    levels = [dataclasses.replace(lv, empty_value_events=c) for lv, c in zip(levels, counts)]
+    flag, reason = _flag(levels, baseline, cfg, unresolved)
+    assert flag == "Violation"
+    assert reason.startswith("empty-value events at every radius level")
+
+
+@given(flag_inputs())
+@example(NOTHING)
+@example((NOTHING[0], None, ProbeConfig(), False))
+@example((_levels([None, None, 2.0], [0, 0, 0]), None, ProbeConfig(levels=3), True))
+@example((_levels([None, None], [0, 1]), None, ProbeConfig(), True))
+def test_nothing_measured_reason(case):
+    """The reason says that nothing was measured exactly when no level has a
+    ratio or an event, and its cause follows ``unresolved``."""
+    levels, baseline, cfg, unresolved = case
+    flag, reason = _flag(levels, baseline, cfg, unresolved)
+    nothing = all(lv.worst_ratio is None and lv.empty_value_events == 0 for lv in levels)
+    assert reason.startswith(NOTHING_MEASURED) == nothing
+    if nothing:
+        assert flag == "Inconclusive"
+        assert reason.endswith(CAUSES[unresolved])
+
+
+@pytest.mark.parametrize(
+    "worsts, baseline, flag",
+    [
+        ([1.0, 10.0], 1.0, "Consistent"),  # at 10x the baseline
+        ([1.0, 10.5], 1.0, "Inconclusive"),
+        ([1e-7, 1e-6], 1e-8, "Consistent"),  # 10x the baseline is under the floor
+        ([1e-7, 2e-6], 1e-8, "Inconclusive"),
+        ([1e-6, None], None, "Consistent"),
+        ([1e-6, 2e-6], None, "Inconclusive"),
+    ],
+)
+def test_consistent_bound(worsts, baseline, flag):
+    """Consistent holds up to max(10 x baseline, ratio_floor), or up to the
+    floor without a baseline."""
+    assert _flag(_levels(worsts, [0, 0]), baseline, ProbeConfig(), False)[0] == flag
