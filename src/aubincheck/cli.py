@@ -103,11 +103,6 @@ def cmd_membership(args) -> int:
     pf = _load(args)
     xprime = _parse_vector(args.xprime, "xprime")
     wprime = _parse_vector(args.wprime, "wprime")
-    if len(xprime) != pf.spec.n or len(wprime) != pf.spec.d:
-        raise InputError(
-            f"query dimensions ({len(xprime)}, {len(wprime)}) do not match the "
-            f"problem ({pf.spec.n}, {pf.spec.d})"
-        )
     v = verdict(pf.spec, pf.point, pf.tolerances, args.mode)
     result = coderivative_membership(v, xprime, wprime, pf.tolerances)
     entry = {

@@ -32,10 +32,10 @@ merged, and one Newton step serves them all (see ``_Refiner.run``); a
 64-bit checksum of each row skips the exact merge test, a sort, at the
 steps where no two rows can be equal.  And once per sampled parameter,
 each branch system is enclosed by interval arithmetic over the acceptance
-box (see ``_empty_branches``); where an
-equation's enclosure excludes the convergence bar, no row at that
-parameter can be accepted on that branch, so those rows are not refined,
-in set sampling and in the distance polish alike.  The report is
+box (see ``_empty_branches``); where an equation's enclosure excludes
+the convergence bar, ACCEPT_RESIDUAL, no row at that parameter can be
+accepted on that branch, so those rows are not refined, in set sampling
+and in the distance polish alike.  The report is
 unchanged by all four, except that a set whose two branches are both
 certified empty reports no diverged seeds.
 
@@ -108,7 +108,6 @@ class GridSpec:
     r_x: float = 0.5
     points_per_axis: int | None = None
     newton_cap: int = 30
-    tau_newton: float = 1e-12
 
     def __post_init__(self):
         if not _finite_positive(self.r_x):
@@ -117,8 +116,8 @@ class GridSpec:
             m = self.points_per_axis
             if m < 3 or m % 2 == 0:
                 raise ValueError("points_per_axis must be odd and >= 3")
-        if self.newton_cap < 1 or not _finite_positive(self.tau_newton):
-            raise ValueError("invalid Newton controls")
+        if self.newton_cap < 1:
+            raise ValueError("newton_cap must be >= 1")
 
     def resolve_points(self, n: int) -> int:
         if self.points_per_axis is not None:
@@ -486,7 +485,7 @@ class _Refiner:
         for followers, leaders in reversed(merged):
             Z_out[followers], r_out[followers] = Z_out[leaders], r_out[leaders]
         lams = Z_out[:, n] if branch == "boundary" else np.zeros(rows.size)
-        return Z_out[:, :n], lams, r_out <= max(self.grid.tau_newton, ACCEPT_RESIDUAL)
+        return Z_out[:, :n], lams, r_out <= ACCEPT_RESIDUAL
 
 
 def _empty_branches(derivs: ProblemDerivatives, W: np.ndarray, center: np.ndarray, grid: GridSpec, tol: ToleranceConfig) -> list:
@@ -494,12 +493,12 @@ def _empty_branches(derivs: ProblemDerivatives, W: np.ndarray, center: np.ndarra
     tuple of branch names for each column of W (d, K).
 
     A row is accepted only if its branch system converged, each equation at
-    most bar = max(tau_newton, ACCEPT_RESIDUAL) in size, at a point within
-    r_x plus one grid spacing of the centre, and on the boundary with
-    lam >= -tau_zero.  Each equation is enclosed over that box (lam as
-    x_{n+1}); a branch is certified empty at a parameter when some enclosure
-    excludes [-bar, bar].  The enclosures hold the float values the refiner
-    computes, and _ROUNDING covers the norm and the box test.
+    most bar = ACCEPT_RESIDUAL in size, at a point within r_x plus one grid
+    spacing of the centre, and on the boundary with lam >= -tau_zero.  Each
+    equation is enclosed over that box (lam as x_{n+1}); a branch is
+    certified empty at a parameter when some enclosure excludes [-bar, bar].
+    The enclosures hold the float values the refiner computes, and _ROUNDING
+    covers the norm and the box test.
     """
     n = derivs.spec.n
     reach = (grid.r_x + grid.spacing(n)) * (1.0 + _ROUNDING)
@@ -507,7 +506,7 @@ def _empty_branches(derivs: ProblemDerivatives, W: np.ndarray, center: np.ndarra
         np.nextafter(np.append(center - reach, -tol.tau_zero), -np.inf)[:, None],
         np.nextafter(np.append(center + reach, np.inf), np.inf)[:, None],
     )
-    bar = max(grid.tau_newton, ACCEPT_RESIDUAL) * (1.0 + _ROUNDING)
+    bar = ACCEPT_RESIDUAL * (1.0 + _ROUNDING)
     masks = []
     for branch in _BRANCHES:
         empty = np.zeros(W.shape[1], dtype=bool)

@@ -2,11 +2,13 @@
 
 The format is INI-style text with four sections::
 
-    [problem]           required: n, d, f0, F (expressions in double quotes)
+    [problem]           required: n, d, f0, F (expressions in double quotes);
+                        optional: note (quoted text the reports add to
+                        their warnings)
     [point]             required: x, w (bracketed comma-separated lists)
     [tolerances]        optional: tau_act, tau_zero, tau_stat, tau_rank, tau_col
     [probe]             optional sampling overrides: r_x, points_per_axis,
-                        newton_cap, tau_newton, delta0, levels, samples,
+                        newton_cap, delta0, levels, samples,
                         rho_u, growth, blowup, ratio_floor, seed
 
 Unknown sections or keys are rejected.
@@ -18,7 +20,7 @@ import configparser
 import math
 from dataclasses import dataclass, fields
 
-from .calculus import EvalPoint, ToleranceConfig
+from .calculus import EvalPoint, ToleranceConfig, _check_dims
 from .errors import InputError
 from .expr import ProblemSpec, parse
 from .oracle import GridSpec, ProbeConfig
@@ -41,13 +43,14 @@ class ProblemFile:
     f0_text: str
     F_text: str
     path: str
+    note: str | None = None
 
 
 def _unquote(raw: str, key: str) -> str:
     s = raw.strip()
     if len(s) >= 2 and s[0] == s[-1] and s[0] in "\"'":
         return s[1:-1]
-    raise InputError(f"value of {key!r} must be a quoted expression, got {raw!r}")
+    raise InputError(f"value of {key!r} must be quoted, got {raw!r}")
 
 
 def _parse_list(raw: str, key: str) -> list:
@@ -91,7 +94,7 @@ def load_problem(
         raise InputError(f"malformed problem file: {exc}") from None
 
     allowed = {
-        "problem": {"n", "d", "f0", "F"},
+        "problem": {"n", "d", "f0", "F", "note"},
         "point": {"x", "w"},
         "tolerances": set(_TOL_KEYS),
         "probe": set(_GRID_KEYS) | set(_PROBE_KEYS),
@@ -114,19 +117,15 @@ def load_problem(
 
     n = _number(cp["problem"]["n"], "n")
     d = _number(cp["problem"]["d"], "d")
-    if n < 1 or d < 1:
-        raise InputError(f"dimensions must be >= 1, got n={n}, d={d}")
     f0_text = _unquote(cp["problem"]["f0"], "f0")
     F_text = _unquote(cp["problem"]["F"], "F")
     spec = ProblemSpec(n, d, parse(f0_text, n, d), parse(F_text, n, d))
 
     x = _parse_list(cp["point"]["x"], "x")
     w = _parse_list(cp["point"]["w"], "w")
-    if len(x) != n or len(w) != d:
-        raise InputError(
-            f"point has dimensions ({len(x)}, {len(w)}) but the problem declares ({n}, {d})"
-        )
+    _check_dims(spec, x, w)
     point = EvalPoint(x, w)
+    note = _unquote(cp["problem"]["note"], "note") if "note" in cp["problem"] else None
 
     tol_kwargs = {}
     if "tolerances" in cp:
@@ -158,4 +157,4 @@ def load_problem(
     except ValueError as exc:
         raise InputError(str(exc)) from None
 
-    return ProblemFile(spec, point, tol, grid, probe, f0_text, F_text, str(path))
+    return ProblemFile(spec, point, tol, grid, probe, f0_text, F_text, str(path), note)

@@ -7,7 +7,6 @@ import json
 
 from .calculus import BLOCKS, DerivativeBundle
 from .conditions import Verdict
-from .fixtures import fixture_notes
 from .problemfile import ProblemFile
 
 __all__ = [
@@ -36,7 +35,7 @@ def _header(command: str, pf: ProblemFile) -> dict:
 def analysis_document(
     command: str, pf: ProblemFile, verdict: Verdict, membership=None, probe=None
 ) -> dict:
-    """The report of one command; a fixture's note joins the verdict's warnings."""
+    """The report of one command; the problem file's note joins the verdict's warnings."""
     doc = {
         **_header(command, pf),
         "case": {
@@ -67,7 +66,7 @@ def analysis_document(
             "theorem_applied": verdict.theorem_applied,
             "mode": verdict.mode,
         },
-        "warnings": list(verdict.warnings) + list(fixture_notes(pf.spec, pf.point)),
+        "warnings": list(verdict.warnings) + ([pf.note] if pf.note is not None else []),
     }
     if membership is not None:
         doc["membership"] = membership

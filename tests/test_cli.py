@@ -281,6 +281,74 @@ class TestErrorPaths:
         assert code == 4
 
 
+class TestInputChecks:
+    @staticmethod
+    def _assert_one_error_line(code, out, err, prefix="error:"):
+        assert code == 2
+        assert out == "" and "Traceback" not in err
+        assert err.startswith(prefix) and err.count("\n") == 1
+
+    def test_note_comes_from_the_file(self, tmp_path):
+        # The product_constraint note is data of its file: the same problem
+        # without the note line reports no warning.
+        text = pathlib.Path(fixture_path("product_constraint")).read_text()
+        lines = text.splitlines(keepends=True)
+        assert sum(line.startswith("note = ") for line in lines) == 1
+        p = tmp_path / "product_constraint.prob"
+        p.write_text("".join(line for line in lines if not line.startswith("note = ")))
+        code, out = run_cli(["analyze", str(p), "--json"])
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["warnings"] == []
+        assert doc["multiplier"]["lambda"] == 2.0
+
+    def test_note_follows_the_verdict_warnings(self, tmp_path):
+        # lambda within the zero tolerance: the verdict warns on its own.
+        p = tmp_path / "borderline.prob"
+        p.write_text(
+            '[problem]\nn = 1\nd = 1\nf0 = "-0.000000005*x1"\nF = "x1 + w1"\nnote = "a = b: [c]"\n\n'
+            "[point]\nx = [0]\nw = [0]\n"
+        )
+        code, out = run_cli(["analyze", str(p), "--json"])
+        warnings = json.loads(out)["warnings"]
+        assert code == 0
+        assert len(warnings) == 2 and "zero tolerance" in warnings[0] and warnings[1] == "a = b: [c]"
+
+    def test_unquoted_note(self, tmp_path, capsys):
+        text = pathlib.Path(fixture_path("halfline_quadratic")).read_text()
+        p = tmp_path / "note.prob"
+        p.write_text(text.replace("[point]", "note = an unquoted note\n\n[point]"))
+        code, out = run_cli(["analyze", str(p)])
+        self._assert_one_error_line(code, out, capsys.readouterr().err)
+
+    def test_tau_newton_is_unknown(self, tmp_path, capsys):
+        text = pathlib.Path(fixture_path("halfline_quadratic")).read_text()
+        p = tmp_path / "tau_newton.prob"
+        p.write_text(text + "\n[probe]\ntau_newton = 1e-12\n")
+        code, out = run_cli(["probe", str(p)])
+        self._assert_one_error_line(code, out, capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "{n_zero}"],
+            ["analyze", "{x_too_long}"],
+            ["membership", "{circle}", "--xprime", "1,2", "--wprime", "1"],
+        ],
+        ids=["n_zero", "x_too_long", "query"],
+    )
+    def test_dimension_mismatch(self, argv, tmp_path, capsys):
+        base = pathlib.Path(fixture_path("halfline_quadratic")).read_text()
+        variants = {"n_zero": base.replace("n = 1", "n = 0"), "x_too_long": base.replace("x = [0]", "x = [0, 1]")}
+        paths = {"circle": fixture_path("circle_boundary")}
+        for name, text in variants.items():
+            assert text != base
+            paths[name] = str(tmp_path / f"{name}.prob")
+            pathlib.Path(paths[name]).write_text(text)
+        code, out = run_cli([arg.format(**paths) for arg in argv])
+        self._assert_one_error_line(code, out, capsys.readouterr().err, "error: DimensionMismatch:")
+
+
 class TestMembershipCommand:
     def test_in_with_witness(self):
         code, out = run_cli(

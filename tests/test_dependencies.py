@@ -1,5 +1,5 @@
 """numpy is the package's only runtime dependency: every other module it
-imports comes with Python."""
+imports comes with Python.  And the package knows no shipped problem."""
 
 import ast
 import pathlib
@@ -26,3 +26,17 @@ def test_only_numpy_outside_the_standard_library():
         if name.split(".")[0] not in sys.stdlib_module_names and name.split(".")[0] != "numpy"
     }
     assert not foreign
+
+
+def test_no_module_names_a_fixture():
+    # Every report depends only on its input file: no module knows a
+    # particular shipped problem.
+    stems = sorted(path.stem for path in (PACKAGE.parents[1] / "fixtures").glob("*.prob"))
+    assert stems
+    named = {
+        (path.name, stem)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for stem in stems
+        if stem in path.read_text()
+    }
+    assert not named

@@ -105,6 +105,11 @@ class TestLoadProblem:
         with pytest.raises(InputError):
             load_problem(_write(tmp_path, body))
 
+    def test_note(self, tmp_path):
+        assert load_problem(_write(tmp_path, BASE)).note is None
+        body = BASE.replace('F = "x1 - 1"', 'F = "x1 - 1"\nnote = "a = b: [c]"')
+        assert load_problem(_write(tmp_path, body)).note == "a = b: [c]"
+
     def test_fixture_files_all_load(self):
         from conftest import FIXTURE_NAMES
 
