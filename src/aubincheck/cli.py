@@ -4,7 +4,8 @@ Subcommands: analyze (three-valued Lipschitz-like verdict), membership
 (coderivative membership query), probe (numerical Aubin probe), and
 derivatives (derivative bundle dump with optional finite-difference audit).
 ``COMMANDS`` lists them; ``main`` builds only the parser of the command it
-runs, about a third of the argparse set-up of all four.
+runs, about a third of the argparse set-up of all four.  ``--version``
+prints the package version.
 
 Exit codes: 0 analysis completed (including an Unknown verdict or an
 Inconclusive probe); 2 input or parse error, including an expression nested
@@ -20,6 +21,7 @@ import math
 import sys
 import warnings
 
+from . import __version__
 from .calculus import derivative_bundle, finite_difference_audit
 from .conditions import MODE_EXTENDED, MODE_STRICT, coderivative_membership, verdict
 from .errors import DomainError, GridTooCoarse, InputError, PreconditionError
@@ -219,6 +221,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
             "reference point."
         ),
     )
+    parser.add_argument("--version", action="version", version=f"aubincheck {__version__}")
     if command in COMMANDS:
         # The usage line still lists every command.  A metavar also renames the
         # action in the errors for a missing or unknown command, which only the

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from aubincheck import __version__
 from aubincheck.calculus import BLOCKS, ProblemDerivatives
 from aubincheck.cli import COMMANDS, build_parser, main
 from conftest import FIXTURE_NAMES, PROBEABLE, fixture_path, problem_dims
@@ -693,6 +694,14 @@ class TestCliSurface:
     def _commands(parser):
         (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         return list(sub.choices)
+
+    def test_version_is_the_package_version(self):
+        assert self.run(["--version"])["stdout"] == f"aubincheck {__version__}\n"
+        assert f'version = "{__version__}"' in (ROOT / "pyproject.toml").read_text()
+
+    def test_every_parser_prints_the_same_usage(self):
+        for command in COMMANDS:
+            assert build_parser(command).format_usage() == build_parser().format_usage()
 
     def test_builds_only_the_named_command(self):
         assert self._commands(build_parser()) == list(COMMANDS)

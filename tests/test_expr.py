@@ -162,6 +162,70 @@ class TestEvaluate:
         assert np.isnan(out[0]) and out[1] == 0.0
 
 
+class TestPower:
+    """Integer powers in both op tables: np.power's bits on nonnegative bases
+    and for k <= 2, exact sign symmetry on negative bases."""
+
+    X1 = Var("x", 1)
+    # Both zeros, subnormal bases, powers of two, results that overflow or
+    # underflow to a subnormal, both infinities and NaN.
+    SPECIAL = np.array([
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+        0.5, -0.5, 2.0, -2.0, 1e-103, -1e-103, 1e103, -1e103, math.inf, -math.inf, math.nan,
+    ])
+    _rng = np.random.default_rng(20)
+    POSITIVE = np.concatenate([_rng.uniform(0.0, 3.0, 2000), 10.0 ** _rng.uniform(-320, 300, 2000)])
+
+    @classmethod
+    def power(cls, k, a):
+        return np.broadcast_to(eval_array(Pow(cls.X1, k), a[None, :], np.zeros((1, a.size))), a.shape)
+
+    @staticmethod
+    def same(a, b):
+        # Equal bits, or both NaN.
+        return np.all((np.asarray(a).view(np.uint64) == np.asarray(b).view(np.uint64)) | (np.isnan(a) & np.isnan(b)))
+
+    @pytest.mark.parametrize("k", range(10))
+    def test_np_power_on_nonnegative_bases(self, k):
+        bases = np.concatenate([self.POSITIVE, [0.0, 5e-324, math.inf]])
+        with np.errstate(all="ignore"):
+            assert self.same(self.power(k, bases), np.power(bases, k))
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_np_power_up_to_the_square(self, k):
+        bases = np.concatenate([self.POSITIVE, -self.POSITIVE, self.SPECIAL])
+        with np.errstate(all="ignore"):
+            assert self.same(self.power(k, bases), np.power(bases, k))
+
+    @pytest.mark.parametrize("k", range(10))
+    def test_sign_symmetric_on_negative_bases(self, k):
+        up, down = self.power(k, self.POSITIVE), self.power(k, -self.POSITIVE)
+        assert self.same(down, -up if k % 2 else up)
+
+    @pytest.mark.parametrize("k", range(10))
+    def test_special_values_as_np_power(self, k):
+        # Zeros keep their sign for odd k, infinities their sign, NaN stays
+        # NaN (and NaN^0 = 1), and subnormal bases underflow as in np.power.
+        with np.errstate(all="ignore"):
+            assert self.same(self.power(k, self.SPECIAL), np.power(self.SPECIAL, k))
+
+    @pytest.mark.parametrize("k", range(10))
+    def test_evaluate_is_the_column(self, k):
+        bases = np.concatenate([np.random.default_rng(k).uniform(-3.0, 3.0, 200), [0.0, -0.0, -5e-324, -1e-103]])
+        batch = self.power(k, bases)
+        for b, want in zip(bases, batch):
+            assert _bits(evaluate(Pow(self.X1, k), [b], [0.0])) == _bits(want)
+
+    @pytest.mark.parametrize("k", range(10))
+    @pytest.mark.parametrize("box", [(-1.5, 0.7), (-3.0, 3.0), (-0.3, 1e-200), (-5e-324, 5e-324), (-1e103, 1e50)])
+    def test_interval_encloses_across_zero(self, k, box):
+        lo, hi = box
+        points = np.concatenate([[lo, hi, 0.0, -0.0], np.linspace(lo, hi, 101), np.random.default_rng(k).uniform(lo, hi, 200)])
+        values = self.power(k, points)
+        enc_lo, enc_hi = eval_interval(Pow(self.X1, k), (np.array([lo]), np.array([hi])), (np.zeros(1),) * 2)
+        assert np.all((enc_lo <= values) & (values <= enc_hi))
+
+
 class TestDifferentiate:
     def test_power_rule(self):
         e = parse("0.25*w1*x1^4", 1, 1)
