@@ -175,14 +175,16 @@ class ProblemDerivatives:
         self.spec = spec
         xs = [ex.Var("x", i + 1) for i in range(spec.n)]
         ws = [ex.Var("w", k + 1) for k in range(spec.d)]
-        memos = {v: {} for v in xs + ws}  # one per variable, shared by f0, F and both orders
+        memo = {}  # node -> its nonzero partials, shared by f0, F and both orders
+        zero = ex.Const(0.0)
 
         def grad(es, vs, by_row=True):
             """The derivatives of ``es`` by ``vs``, row-major (or variable-major
-            when not ``by_row``), from one walk over the nodes below ``es``."""
-            ex.derive(es, {v: memos[v] for v in vs})
+            when not ``by_row``), from one walk over the nodes below ``es``
+            that the memo does not yet hold."""
+            ex.derive(es, memo)
             pairs = ((e, v) for e in es for v in vs) if by_row else ((e, v) for v in vs for e in es)
-            return ex.Tape(memos[v][e] for e, v in pairs)
+            return ex.Tape(memo[e].get(v, zero) for e, v in pairs)
 
         self.F_row = ex.Tape((spec.F,))
         self.f0x = grad([spec.f0], xs)

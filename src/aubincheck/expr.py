@@ -16,7 +16,9 @@ wherever it is defined.  Nodes are interned: equal expressions are the
 identical object.  Every walk visits the unique nodes below its roots once,
 children first, without recursion.  Differentiation is exact; the only
 simplification applied is neutral-element elimination (u+0, u*1, u*0, u^0,
-u^1), never factoring or constant folding.
+u^1), never factoring or constant folding.  Partials are sparse: ``derive``
+records for each node a dict from each variable it depends on to its nonzero
+partial by that variable, so a zero partial is never built or stored.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ import math
 import operator
 import re
 import weakref
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import count
+from itertools import chain, count
 from typing import Union
 
 import numpy as np
@@ -240,128 +241,134 @@ class ProblemSpec:
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z]+\d*)|(?P<op>[-+*/^()]))"
-)
-_INT_RE = re.compile(r"\d+$")
-_Token = namedtuple("_Token", "kind text pos")  # kind: "num" | "name" | "op" | "end"
+# A token is its leading space and then a number, a name or an operator.
+# _SOURCE_RE matches the longest prefix made of tokens and space, which is
+# all of a valid source; _TOKEN_RE.findall then yields each token as
+# (space, num, name, op), with exactly one of the last three non-empty.  The
+# three kinds start with different characters, so the order of the
+# alternatives does not change what matches.
+_NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_NAME = r"[A-Za-z]+\d*"
+_OP = r"[-+*/^()]"
+_SOURCE_RE = re.compile(rf"(?:\s*(?:{_OP}|{_NAME}|{_NUM}))*\s*")
+_TOKEN_RE = re.compile(rf"(\s*)(?:({_NUM})|({_NAME})|({_OP}))")
+_END = ("", "", "", "")
+_VAR_RE = re.compile(r"([xw])(\d+)")
+_SUM = {"+": Add, "-": Sub}
+_PRODUCT = {"*": Mul, "/": Div}
 
 
-def _tokenize(source: str) -> list[_Token]:
-    tokens, i = [], 0
-    while m := _TOKEN_RE.match(source, i):
-        tokens.append(_Token(m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        i = m.end()
-    rest = source[i:].lstrip()
-    if rest:
-        raise ExpressionSyntaxError(f"unexpected character {rest[0]!r}", len(source) - len(rest))
-    tokens.append(_Token("end", "", len(source)))
-    return tokens
+def _text(tok) -> str:
+    return tok[1] or tok[2] or tok[3] or "end of input"
 
 
 class _Parser:
     def __init__(self, source: str, n: int, d: int):
-        self.tokens = _tokenize(source)
+        valid = _SOURCE_RE.match(source).end()
+        if valid < len(source):
+            raise ExpressionSyntaxError(f"unexpected character {source[valid]!r}", valid)
+        self.source = source
+        self.tokens = _TOKEN_RE.findall(source)
+        self.tokens.append(_END)
         self.k = 0
         self.n = n
         self.d = d
         self.depth = 0  # open parentheses, unary minuses and calls
+        self.vars = {}  # name -> its Var
 
-    def peek(self) -> _Token:
-        return self.tokens[self.k]
+    def position(self, k: int) -> int:
+        """Where token k starts: the length of the tokens before it and its
+        leading space; the end of input at the end."""
+        tokens = self.tokens
+        if tokens[k] is _END:
+            return len(self.source)
+        return sum(map(len, chain.from_iterable(tokens[:k]))) + len(tokens[k][0])
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.k]
+    def error(self, message: str, k: int) -> ExpressionSyntaxError:
+        return ExpressionSyntaxError(message, self.position(k))
+
+    def expect(self, op: str):
+        if self.tokens[self.k][3] != op:
+            raise self.error(f"expected {op!r}, found {_text(self.tokens[self.k])!r}", self.k)
         self.k += 1
-        return tok
-
-    def expect_op(self, op: str):
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
-            raise ExpressionSyntaxError(f"expected {op!r}, found {tok.text or 'end of input'!r}", tok.pos)
-        return self.advance()
 
     def parse(self) -> Expression:
         e = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExpressionSyntaxError(f"unexpected trailing input {tok.text!r}", tok.pos)
+        if self.tokens[self.k] is not _END:
+            raise self.error(f"unexpected trailing input {_text(self.tokens[self.k])!r}", self.k)
         return e
 
     def expr(self) -> Expression:
         e = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.term()
-            e = Add(e, rhs) if op == "+" else Sub(e, rhs)
+        while (cls := _SUM.get(self.tokens[self.k][3])) is not None:
+            self.k += 1
+            e = cls(e, self.term())
         return e
 
     def term(self) -> Expression:
         e = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            rhs = self.factor()
-            e = Mul(e, rhs) if op == "*" else Div(e, rhs)
+        while (cls := _PRODUCT.get(self.tokens[self.k][3])) is not None:
+            self.k += 1
+            e = cls(e, self.factor())
         return e
 
     def factor(self) -> Expression:
         e = self.base()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
-            tok = self.peek()
-            if tok.kind != "num" or not _INT_RE.match(tok.text):
+        if self.tokens[self.k][3] == "^":
+            self.k += 1
+            num = self.tokens[self.k][1]
+            if not num.isdecimal():
                 raise ExponentError(
                     f"exponent after '^' must be a non-negative integer literal, "
-                    f"found {tok.text or 'end of input'!r} at position {tok.pos}"
+                    f"found {_text(self.tokens[self.k])!r} at position {self.position(self.k)}"
                 )
-            self.advance()
-            e = Pow(e, int(tok.text))
+            self.k += 1
+            e = Pow(e, int(num))
         return e
 
     def base(self) -> Expression:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            value = float(tok.text)
+        k = self.k
+        _, num, name, op = self.tokens[k]
+        if num:
+            self.k = k + 1
+            value = float(num)
             if not math.isfinite(value):
-                raise ExpressionSyntaxError(f"numeric literal {tok.text!r} is out of range", tok.pos)
+                raise self.error(f"numeric literal {num!r} is out of range", k)
             return Const(value)
-        if tok.kind == "name" and tok.text not in FUNCTIONS:
-            self.advance()
-            return self.variable(tok)
-        if tok.kind == "name" or (tok.kind == "op" and tok.text in "-("):
+        if name and name not in FUNCTIONS:
+            self.k = k + 1
+            v = self.vars.get(name)
+            if v is None:
+                v = self.vars[name] = self.variable(name, k)
+            return v
+        if name or op == "-" or op == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:
-                raise ExpressionSyntaxError(f"expression nests deeper than {MAX_NESTING} levels", tok.pos)
-            self.advance()
-            if tok.text == "-":
+                raise self.error(f"expression nests deeper than {MAX_NESTING} levels", k)
+            self.k = k + 1
+            if op == "-":
                 e = Neg(self.factor())
             else:
-                if tok.kind == "name":
-                    self.expect_op("(")
+                if name:
+                    self.expect("(")
                 e = self.expr()
-                self.expect_op(")")
-                if tok.kind == "name":
-                    e = Call(tok.text, e)
+                self.expect(")")
+                if name:
+                    e = Call(name, e)
             self.depth -= 1
             return e
-        raise ExpressionSyntaxError(
-            f"expected a number, variable, function or '(', found {tok.text or 'end of input'!r}",
-            tok.pos,
-        )
+        raise self.error(f"expected a number, variable, function or '(', found {_text(self.tokens[k])!r}", k)
 
-    def variable(self, tok: _Token) -> Expression:
-        m = re.fullmatch(r"([xw])(\d+)", tok.text)
+    def variable(self, name: str, k: int) -> Var:
+        m = _VAR_RE.fullmatch(name)
         if not m:
-            raise ExpressionSyntaxError(f"unknown identifier {tok.text!r}", tok.pos)
+            raise self.error(f"unknown identifier {name!r}", k)
         axis, idx = m.group(1), int(m.group(2))
         if idx == 0:
-            raise VariableIndexError(f"variable index 0 in {tok.text!r} (indices are 1-based)")
+            raise VariableIndexError(f"variable index 0 in {name!r} (indices are 1-based)")
         bound = self.n if axis == "x" else self.d
         if idx > bound:
-            raise VariableIndexError(
-                f"{tok.text!r} exceeds declared dimension ({axis} has {bound} component(s))"
-            )
+            raise VariableIndexError(f"{name!r} exceeds declared dimension ({axis} has {bound} component(s))")
         return Var(axis, idx)
 
 
@@ -596,23 +603,55 @@ def _pow(base, k: int):
     return _ONE if k == 0 else base if k == 1 else Pow(base, k)
 
 
-def _d_pow(e, d, v):
+def _d_pow(e, du):
     if e.exponent == 0:
         return _ZERO
-    return _mul(_mul(Const(float(e.exponent)), _pow(e.base, e.exponent - 1)), d[e.base])
+    return _mul(_mul(Const(float(e.exponent)), _pow(e.base, e.exponent - 1)), du)
 
 
-# Each rule takes (node, derivatives of its children so far, variable).
+def _unary(rule):
+    """A node's partials from ``rule(node, partial of its child)``, applied
+    for each variable its child depends on."""
+
+    def partials(e, memo):
+        out = {}
+        for v, du in memo[e._kids[0]].items():
+            if (p := rule(e, du)) is not _ZERO:
+                out[v] = p
+        return out
+
+    return partials
+
+
+def _binary(rule):
+    """A node's partials from ``rule(node, partial of a, partial of b)``,
+    applied for each variable a child depends on."""
+
+    def partials(e, memo):
+        da, db = memo[e.a], memo[e.b]
+        out = {}
+        for v in da | db:
+            if (p := rule(e, da.get(v, _ZERO), db.get(v, _ZERO))) is not _ZERO:
+                out[v] = p
+        return out
+
+    return partials
+
+
+# Each entry takes (node, memo) and returns the node's nonzero partials.  A
+# rule gives _ZERO whenever its children's partials by v are all _ZERO, and
+# no partial is ever _NEG_ZERO, so a rule is applied only for the variables
+# some child depends on, and an absent variable reads as _ZERO.
 _RULES = {
-    Const: lambda e, d, v: _ZERO,
-    Var: lambda e, d, v: _ONE if e is v else _ZERO,
-    Add: lambda e, d, v: _add(d[e.a], d[e.b]),
-    Sub: lambda e, d, v: _sub(d[e.a], d[e.b]),
-    Mul: lambda e, d, v: _add(_mul(d[e.a], e.b), _mul(e.a, d[e.b])),
-    Div: lambda e, d, v: _div(_sub(_mul(d[e.a], e.b), _mul(e.a, d[e.b])), _pow(e.b, 2)),
-    Pow: _d_pow,
-    Neg: lambda e, d, v: _neg(d[e.a]),
-    Call: lambda e, d, v: _CALL_RULES[e.fn](e.a, d[e.a]),
+    Const: lambda e, memo: {},
+    Var: lambda e, memo: {e: _ONE},
+    Add: _binary(lambda e, da, db: _add(da, db)),
+    Sub: _binary(lambda e, da, db: _sub(da, db)),
+    Mul: _binary(lambda e, da, db: _add(_mul(da, e.b), _mul(e.a, db))),
+    Div: _binary(lambda e, da, db: _div(_sub(_mul(da, e.b), _mul(e.a, db)), _pow(e.b, 2))),
+    Pow: _unary(_d_pow),
+    Neg: _unary(lambda e, du: _neg(du)),
+    Call: _unary(lambda e, du: _CALL_RULES[e.fn](e.a, du)),
 }
 _CALL_RULES = {
     "sin": lambda u, du: _mul(Call("cos", u), du),
@@ -623,32 +662,29 @@ _CALL_RULES = {
 }
 
 
-def derive(roots, memos: dict) -> None:
-    """For each variable v of ``memos`` = {v: memo}, record in memo[node] the
-    exact partial derivative by v of every node below ``roots``.
+def derive(roots, memo: dict) -> None:
+    """Record in ``memo[node]`` = {v: partial by v} the exact nonzero partial
+    derivatives of every node below ``roots``, by each variable v the node
+    depends on; a variable absent from the dict gives the partial 0.
 
-    One walk visits the nodes once and applies each variable's rule with
-    that variable's memo.  It does not enter nodes that every memo already
-    holds, so callers may share memos across expressions.
+    One walk visits the nodes once, children first.  It does not enter nodes
+    the memo already holds, so callers may share one memo across expressions
+    and orders: the partials of a derivative are derived from the memo too.
     """
-    pairs = list(memos.items())
-    held = reduce(operator.and_, (memo.keys() for _, memo in pairs))
-    for node in _order(roots, held):
-        rule = _RULES[node.__class__]
-        for v, memo in pairs:
-            memo[node] = rule(node, memo, v)
+    for node in _order(roots, memo):
+        memo[node] = _RULES[node.__class__](node, memo)
 
 
 def differentiate(e: Expression, v: Var, memo: dict | None = None) -> Expression:
     """Exact symbolic partial derivative of ``e`` with respect to ``v``.
 
-    Each node's derivative is built once and recorded in ``memo``, which
-    callers may share across expressions differentiated by the same ``v``.
-    Repeated application yields exact higher derivatives.
+    ``memo`` is a ``derive`` memo, which callers may share across
+    expressions and variables.  Repeated application yields exact higher
+    derivatives.
     """
     memo = {} if memo is None else memo
-    derive((e,), {v: memo})
-    return memo[e]
+    derive((e,), memo)
+    return memo[e].get(v, _ZERO)
 
 
 # ---------------------------------------------------------------------------

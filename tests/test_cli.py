@@ -197,10 +197,10 @@ class TestErrorPaths:
         assert code == 2
 
     @staticmethod
-    def _sum_problem(tmp_path, terms: int) -> str:
+    def _sum_problem(tmp_path, terms: int, tail: str = "") -> str:
         """A problem whose f0 is a flat sum of ``terms`` terms: a left spine
-        ``terms`` nodes deep."""
-        f0 = " + ".join(f"{i + 1}*x1^2" for i in range(terms))
+        ``terms`` nodes deep, followed by ``tail``."""
+        f0 = " + ".join(f"{i + 1}*x1^2" for i in range(terms)) + tail
         p = tmp_path / f"sum{terms}.prob"
         p.write_text(f'[problem]\nn = 1\nd = 1\nf0 = "{f0}"\nF = "x1 - 1"\n\n[point]\nx = [0]\nw = [0]\n')
         return str(p)
@@ -212,6 +212,13 @@ class TestErrorPaths:
         assert run_cli(["membership", path, "--xprime", "0", "--wprime", "1"])[0] == 0
         code, out = run_cli(["derivatives", path, "--json"])
         assert code == 0 and json.loads(out)["bundle"]["Hxx"] == [[1001000.0]]
+
+    def test_bad_last_character_of_a_long_sum(self, tmp_path, capsys):
+        code, out = run_cli(["analyze", self._sum_problem(tmp_path, 20_000, tail="$")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("error: ExpressionSyntaxError: unexpected character '$'") and err.count("\n") == 1
 
     def test_deep_expression_is_input_error(self, tmp_path, capsys):
         # Nesting past the parser's limit, by parentheses, unary minus or

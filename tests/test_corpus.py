@@ -8,6 +8,9 @@ seeded problems with their metamorphic variants (``conftest.build_corpus``).
 * Every ``derivatives --json`` report is pinned, with and without
   ``--fd-audit 1e-5``: ``golden/derivatives.json`` holds one sha256 of stdout
   per problem and audit setting.
+* Every derivative DAG is pinned, not only its values: ``golden/tapes.json``
+  holds one sha256 per problem over ``render`` of every entry of the bundle
+  tape and of both branches' Newton tapes.
 * Every derivative block of the bundle agrees with an evaluation of the
   problem text that shares no code with the program: gradients by the complex
   step (``bench/checks.Function``), second-order blocks by central
@@ -27,14 +30,16 @@ import random
 
 import numpy as np
 
-from aubincheck.calculus import EvalPoint, ToleranceConfig, derivative_bundle
+from aubincheck.calculus import EvalPoint, ToleranceConfig, derivative_bundle, problem_derivatives
 from aubincheck.conditions import MODE_EXTENDED, MODE_STRICT, verdict
+from aubincheck.expr import render
 from aubincheck.report import dumps_canonical
 from conftest import bench_module, fixture_path
 from test_cli import run_cli
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "verdicts.json"
 DERIVATIVES_GOLDEN = GOLDEN.parent / "derivatives.json"
+TAPES_GOLDEN = GOLDEN.parent / "tapes.json"
 TAU_RANKS = (1e-6, 1e-9, 1e-12)
 
 
@@ -119,6 +124,26 @@ def derivatives_digests(corpus, directory) -> dict:
 def test_derivatives_match_golden(corpus, tmp_path):
     golden = json.loads(DERIVATIVES_GOLDEN.read_text())
     digests = derivatives_digests(corpus, tmp_path)
+    assert digests.keys() == golden.keys()
+    changed = sorted(k for k in golden if digests[k] != golden[k])
+    assert not changed, changed
+
+
+def tape_digests(corpus) -> dict:
+    """sha256 per problem over the rendered entries of its bundle tape and of
+    the interior and boundary Newton tapes, one entry a line."""
+    out = {}
+    for e in corpus:
+        derivs = problem_derivatives(e.spec)
+        tapes = [derivs.bundle_tape, *(t for branch in ("interior", "boundary") for t in derivs.newton_systems[branch])]
+        text = "\n".join(render(entry) for tape in tapes for entry in tape)
+        out[e.name] = hashlib.sha256(text.encode()).hexdigest()
+    return out
+
+
+def test_tapes_match_golden(corpus):
+    golden = json.loads(TAPES_GOLDEN.read_text())
+    digests = tape_digests(corpus)
     assert digests.keys() == golden.keys()
     changed = sorted(k for k in golden if digests[k] != golden[k])
     assert not changed, changed

@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import pathlib
 import random
 import warnings
 import weakref
@@ -26,6 +28,7 @@ from aubincheck.expr import (
     Pow,
     Sub,
     Var,
+    derive,
     differentiate,
     eval_array,
     eval_interval,
@@ -34,6 +37,8 @@ from aubincheck.expr import (
     parse,
     render,
 )
+
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def _bits(v) -> bytes:
@@ -113,6 +118,101 @@ class TestParse:
         with pytest.raises(ExpressionSyntaxError) as err:
             parse(opening + at_limit + closing, 1, 1)
         assert err.value.position == MAX_NESTING * len(opening)
+
+
+# Malformed sources as (text, n, d); golden/parse_errors.json pins what
+# ``parse`` raises for each: class, message and position.
+_PAST_LIMIT = MAX_NESTING + 1
+PARSE_ERROR_CASES = [
+    # Characters outside the grammar: at the start, in the middle, after
+    # spaces, at the end, and outside ASCII.
+    ("$x1", 1, 1),
+    ("x1 + $ 2", 1, 1),
+    ("x1 +    # 2", 1, 1),
+    ("x1 + 2;", 1, 1),
+    ("x1 + 2 ,", 1, 1),
+    ("x1 + .", 1, 1),
+    ("x1 + é", 1, 1),
+    ("\u00a0x1 + @", 1, 1),
+    ("x1 +\u00a0\u00a0$", 1, 1),
+    # Nothing to parse.
+    ("", 1, 1),
+    ("   ", 1, 1),
+    ("\t\n", 1, 1),
+    # Parentheses, operands and trailing input.
+    ("(x1 + 2", 1, 1),
+    ("((x1)", 1, 1),
+    ("x1 + 2)", 1, 1),
+    ("()", 1, 1),
+    ("sin x1", 1, 1),
+    ("sin(x1", 1, 1),
+    ("sin", 1, 1),
+    ("x1 +", 1, 1),
+    ("x1 + * 2", 1, 1),
+    ("* x1", 1, 1),
+    ("x1 + -", 1, 1),
+    ("x1 2", 1, 1),
+    ("x1  w1", 1, 1),
+    ("2x1", 1, 1),
+    ("1.2.3", 1, 1),
+    ("x1 + 1e", 1, 1),
+    ("x1^2^3", 1, 1),
+    # Exponents.
+    ("x1^-2", 1, 1),
+    ("x1^2.5", 1, 1),
+    ("x1^(2)", 1, 1),
+    ("x1^w1", 1, 1),
+    ("x1^", 1, 1),
+    ("x1 ^  ", 1, 1),
+    # One level past the nesting limit, for each kind of nesting.
+    ("(" * _PAST_LIMIT + "x1" + ")" * _PAST_LIMIT, 1, 1),
+    ("-" * _PAST_LIMIT + "x1", 1, 1),
+    ("sin(" * _PAST_LIMIT + "x1" + ")" * _PAST_LIMIT, 1, 1),
+    # Literals, identifiers and indices.
+    ("x1 + 1e400", 1, 1),
+    ("1e309*x1", 1, 1),
+    ("tan(x1)", 1, 1),
+    ("y1 + x1", 1, 1),
+    ("x", 1, 1),
+    ("x0", 2, 1),
+    ("w0 + 1", 2, 1),
+    ("x3", 2, 1),
+    ("w2", 2, 1),
+    ("x1*x10", 2, 3),
+    # Dimensions.
+    ("x1", 0, 1),
+]
+
+
+def parse_error_document() -> list:
+    """What ``parse`` raises for each of ``PARSE_ERROR_CASES``."""
+    out = []
+    for text, n, d in PARSE_ERROR_CASES:
+        with pytest.raises(Exception) as err:
+            parse(text, n, d)
+        out.append({
+            "source": text, "n": n, "d": d,
+            "error": type(err.value).__name__,
+            "message": str(err.value),
+            "position": getattr(err.value, "position", None),
+        })
+    return out
+
+
+def test_parse_errors_match_golden():
+    text = json.dumps(parse_error_document(), indent=1) + "\n"
+    assert text == (GOLDEN_DIR / "parse_errors.json").read_text()
+
+
+def test_long_flat_sum():
+    # A flat sum parses at any length; a bad last character is reported
+    # where it stands.
+    text = " + ".join(f"{i + 1}*x1" for i in range(20_000))
+    e = parse(text, 1, 1)
+    assert evaluate(e, [1.0], [0.0]) == 20_000 * 20_001 / 2
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse(text + "$", 1, 1)
+    assert err.value.position == len(text)
 
 
 class TestEvaluate:
@@ -458,6 +558,124 @@ def test_evaluate_is_eval_array_at_one_point(e, columns):
         else:
             with pytest.raises(DomainError):
                 evaluate(e, P[:2, j], P[2:, j])
+
+
+# An independent differentiator: plain recursion, one variable at a time,
+# with the neutral-element rules u+0, u*1, u*0, u^0 and u^1.
+_VARIABLES = [Var(axis, i) for axis in "xw" for i in (1, 2)]
+_0, _1 = Const(0.0), Const(1.0)
+
+
+def _is_zero(e) -> bool:
+    return e is _0 or e is Const(-0.0)
+
+
+def _o_add(a, b):
+    return b if _is_zero(a) else a if _is_zero(b) else Add(a, b)
+
+
+def _o_neg(a):
+    return _0 if _is_zero(a) else Neg(a)
+
+
+def _o_sub(a, b):
+    return a if _is_zero(b) else _o_neg(b) if _is_zero(a) else Sub(a, b)
+
+
+def _o_mul(a, b):
+    if _is_zero(a) or _is_zero(b):
+        return _0
+    return b if a is _1 else a if b is _1 else Mul(a, b)
+
+
+def _o_div(a, b):
+    return _0 if _is_zero(a) else a if b is _1 else Div(a, b)
+
+
+def _o_pow(base, k):
+    return _1 if k == 0 else base if k == 1 else Pow(base, k)
+
+
+def _oracle(e, v):
+    """The partial of ``e`` by ``v``, as ``differentiate`` should build it."""
+    if isinstance(e, Const):
+        return _0
+    if isinstance(e, Var):
+        return _1 if e is v else _0
+    if isinstance(e, Neg):
+        return _o_neg(_oracle(e.a, v))
+    if isinstance(e, Pow):
+        if e.exponent == 0:
+            return _0
+        return _o_mul(_o_mul(Const(float(e.exponent)), _o_pow(e.base, e.exponent - 1)), _oracle(e.base, v))
+    if isinstance(e, Call):
+        u, du = e.a, _oracle(e.a, v)
+        if e.fn == "sin":
+            return _o_mul(Call("cos", u), du)
+        if e.fn == "cos":
+            return _o_neg(_o_mul(Call("sin", u), du))
+        if e.fn == "exp":
+            return _o_mul(Call("exp", u), du)
+        if e.fn == "ln":
+            return _o_div(du, u)
+        return _o_div(du, _o_mul(Const(2.0), Call("sqrt", u)))
+    da, db = _oracle(e.a, v), _oracle(e.b, v)
+    if isinstance(e, Add):
+        return _o_add(da, db)
+    if isinstance(e, Sub):
+        return _o_sub(da, db)
+    if isinstance(e, Mul):
+        return _o_add(_o_mul(da, e.b), _o_mul(e.a, db))
+    return _o_div(_o_sub(_o_mul(da, e.b), _o_mul(e.a, db)), _o_pow(e.b, 2))
+
+
+def _variables(e) -> set:
+    """The variables in the subtree of ``e``."""
+    if isinstance(e, Var):
+        return {e}
+    if isinstance(e, Const):
+        return set()
+    if isinstance(e, Pow):
+        return _variables(e.base)
+    if isinstance(e, (Neg, Call)):
+        return _variables(e.a)
+    return _variables(e.a) | _variables(e.b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees)
+# Rules that give zero although a child's partial is not zero.
+@example(Mul(Var("x", 1), Const(0.0)))
+@example(Neg(Pow(Var("w", 1), 0)))
+def test_sparse_partials_match_the_oracle(e):
+    for v in _VARIABLES:
+        assert differentiate(e, v) is _oracle(e, v), (render(e), v)
+    # The memo holds, for every node below e, exactly its nonzero partials:
+    # no zero and no variable from outside the node's subtree.
+    memo = {}
+    derive((e,), memo)
+    for node, partials in memo.items():
+        assert partials.keys() <= _variables(node), render(node)
+        assert not any(_is_zero(p) for p in partials.values()), render(node)
+        for v in _VARIABLES:
+            assert partials.get(v, _0) is _oracle(node, v), (render(node), v)
+    # Second order from the same memo, as the derivative bundle shares it.
+    for v in _VARIABLES:
+        for u in _VARIABLES:
+            assert differentiate(differentiate(e, v, memo), u, memo) is _oracle(_oracle(e, v), u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees, st.data())
+def test_error_position_is_the_illegal_character(e, data):
+    # One character outside the grammar, inserted anywhere into a valid
+    # text, is the error, and its index is the position.
+    text = render(e)
+    i = data.draw(st.integers(0, len(text)), label="index")
+    bad = data.draw(st.sampled_from("$#,;"), label="character")
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse(text[:i] + bad + text[i:], 2, 2)
+    assert err.value.position == i
 
 
 @settings(max_examples=15, deadline=None)
