@@ -375,7 +375,10 @@ def coderivative_membership(
     estimate is valid.  When that condition fails and the inner test does not
     certify In, the answer is downgraded to Unknown.  ``tol`` drives the
     feasibility tests; the regularity condition was decided by ``verdict``
-    under its own tolerances.
+    under its own tolerances.  The query is decided scaled by 2^-k, so that
+    its largest entry lies in [1, 2), and the witness is scaled back by 2^k:
+    D*S(w|x) is positively homogeneous, and no answer depends on the
+    query's scale.
     """
     b = v.bundle
     xprime = np.asarray(xprime, dtype=float).ravel()
@@ -386,6 +389,11 @@ def coderivative_membership(
             f"problem expects ({b.n}, {b.d})"
         )
     desc = v.table
+    # At that scale tau_stat (1 + ||rhs||) is a relative tolerance and
+    # ||rhs||^2 cannot overflow; scaling by 2^k is exact unless it underflows.
+    top = float(np.max(np.abs(np.concatenate([xprime, wprime]))))
+    k = int(np.frexp(top)[1]) - 1 if top > 0.0 else 0
+    xprime, wprime = np.ldexp(xprime, -k), np.ldexp(wprime, -k)
 
     def solve(branch):
         """A point of the branch's section at (x', w'), or None when it is Empty."""
@@ -394,7 +402,7 @@ def coderivative_membership(
     for branch in desc.inner:
         point = solve(branch)
         if point is not None:
-            witness_v, gamma = _witness_from(point, branch, b.n)
+            witness_v, gamma = _witness_from(np.ldexp(point, k), branch, b.n)
             return MembershipResult("In", witness_v, gamma, branch.name)
     if not v.condition(desc.regularity).holds:
         note = f"exactness unavailable: {desc.regularity} fails, outer estimate not certified"

@@ -246,14 +246,15 @@ class ProblemSpec:
 # all of a valid source; _TOKEN_RE.findall then yields each token as
 # (space, num, name, op), with exactly one of the last three non-empty.  The
 # three kinds start with different characters, so the order of the
-# alternatives does not change what matches.
-_NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_NAME = r"[A-Za-z]+\d*"
+# alternatives does not change what matches.  Digits are ASCII only ([0-9],
+# not \d), while \s still takes any Unicode space.
+_NUM = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_NAME = r"[A-Za-z]+[0-9]*"
 _OP = r"[-+*/^()]"
 _SOURCE_RE = re.compile(rf"(?:\s*(?:{_OP}|{_NAME}|{_NUM}))*\s*")
 _TOKEN_RE = re.compile(rf"(\s*)(?:({_NUM})|({_NAME})|({_OP}))")
 _END = ("", "", "", "")
-_VAR_RE = re.compile(r"([xw])(\d+)")
+_VAR_RE = re.compile(r"([xw])([0-9]+)")
 _SUM = {"+": Add, "-": Sub}
 _PRODUCT = {"*": Mul, "/": Div}
 

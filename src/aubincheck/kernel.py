@@ -7,14 +7,13 @@ One routine, ``cone_section``, decides the section {z : M z = b} under at
 most two sign constraints, by exact case analysis on the constraints'
 functionals restricted to ker M (never by an LP).  With b = 0 it gives the
 span of a cone section (the condition tests); with b != 0 a point of an
-affine section (membership).  The geometry is a half-space, a wedge, or,
-when the two functionals are collinear, an interval of one functional,
-which can shrink to a single value and leave a slice.
+affine section (membership).  Past the functionals that vanish on ker M,
+the free constraints are an independent pair or half-lines of one value
+s = <beta, t>, which can pin s to a single value and leave a slice.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,61 +166,6 @@ class Section:
         return self.point is None
 
 
-class _Interval:
-    """Real interval with open/closed endpoints, for the collinear reduction."""
-
-    __slots__ = ("lo", "hi", "lo_open", "hi_open")
-
-    def __init__(self, lo, hi, lo_open, hi_open):
-        self.lo, self.hi = lo, hi
-        self.lo_open, self.hi_open = lo_open, hi_open
-
-    @classmethod
-    def for_sense(cls, sense: str) -> "_Interval":
-        if sense == STRICT_POSITIVE:
-            return cls(0.0, math.inf, True, True)
-        if sense == NONNEG:
-            return cls(0.0, math.inf, False, True)
-        return cls(-math.inf, 0.0, True, True)
-
-    def shift_scale(self, alpha: float, mu: float) -> "_Interval":
-        """Preimage of self under s -> alpha + mu * s (mu != 0)."""
-        lo, hi = (self.lo - alpha), (self.hi - alpha)
-        lo_open, hi_open = self.lo_open, self.hi_open
-        if mu < 0.0:
-            lo, hi = hi / mu, lo / mu
-            lo_open, hi_open = hi_open, lo_open
-        else:
-            lo, hi = lo / mu, hi / mu
-        return _Interval(lo, hi, lo_open, hi_open)
-
-    def intersect(self, other: "_Interval") -> "_Interval | None":
-        if self.lo > other.lo or (self.lo == other.lo and self.lo_open):
-            lo, lo_open = self.lo, self.lo_open
-        else:
-            lo, lo_open = other.lo, other.lo_open
-        if self.hi < other.hi or (self.hi == other.hi and self.hi_open):
-            hi, hi_open = self.hi, self.hi_open
-        else:
-            hi, hi_open = other.hi, other.hi_open
-        if lo > hi:
-            return None
-        if lo == hi and (lo_open or hi_open):
-            return None
-        return _Interval(lo, hi, lo_open, hi_open)
-
-    def pick(self) -> float:
-        if self.lo == self.hi:
-            return self.lo
-        if math.isinf(self.lo) and math.isinf(self.hi):
-            return 0.0
-        if math.isinf(self.lo):
-            return self.hi - 1.0
-        if math.isinf(self.hi):
-            return self.lo + 1.0
-        return 0.5 * (self.lo + self.hi)
-
-
 def _sense_holds(value: float, sense: str, slack: float) -> bool:
     if sense == STRICT_POSITIVE:
         return value > 0.0
@@ -243,12 +187,20 @@ def cone_section(
 ) -> Section:
     """The section {z : M z = b} under at most two sign constraints.
 
-    Solves least squares for a particular solution, reduces each constraint
-    to an affine functional alpha + <beta, t> on null-space coordinates t,
-    and decides by the exhaustive case split on beta-degeneracy,
-    independence, and (anti)collinearity.  b = 0 asks for the span of the
-    cone section of ker M: the particular solution is 0, and the step, which
-    lies in ker M by construction, is not re-checked against M z = 0.
+    Solves least squares for a particular solution z0 (z0 = 0 when b = 0,
+    which asks for the span of the cone section of ker M) and reduces each
+    constraint to an affine functional alpha + <beta, t> on null-space
+    coordinates t.  Constraints whose beta vanishes are checked at alpha.
+    The free ones are an independent pair, solved by least squares onto the
+    targets +-1, or constraints on s = <beta, t> for the first free beta:
+    one constraint, or a collinear pair with beta_j ~= mu * beta.  Each of
+    these holds on a half-line of s with bound (0 - alpha) / mu (mu = 1 for
+    the first), lower iff (sense != STRICT_NEGATIVE) == (mu > 0), closed iff
+    NONNEG.  Half-lines that all face one way give s = max(lo) + 1 or
+    s = min(hi) - 1.  Otherwise lo > hi, or lo == hi with an open end, is
+    Empty; lo == hi gives s = lo and the slice N ∩ ker beta_j as span; else
+    s = (lo + hi) / 2.  Then t = beta s / <beta, beta>.  With b = 0 the
+    step lies in ker M by construction and is not re-checked against M z = 0.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     b = np.asarray(b, dtype=float).ravel()
@@ -289,32 +241,39 @@ def cone_section(
         if zero[i] and not _sense_holds(alphas[i], constraints[i].sense, slack):
             return Section(N)
 
-    if len(free) == 1:
-        i = free[0]
-        beta = betas[i]
-        t = beta * (_target(constraints[i].sense) - alphas[i]) / float(np.dot(beta, beta))
-    elif len(free) == 2:
+    if len(free) == 2:
         i, j = free
-        bi, bj = betas[i], betas[j]
-        cos = _collinearity(bi, bj)
+        cos = _collinearity(betas[i], betas[j])
         warnings = _collinearity_warning(cos, tol)
-        if abs(cos) < 1.0 - tol.tau_col:
-            targets = np.array([_target(constraints[k].sense) for k in (i, j)])
-            Bmat = np.vstack([bi, bj])
-            t, *_ = np.linalg.lstsq(Bmat, targets - np.array([alphas[i], alphas[j]]), rcond=None)
+    if len(free) == 2 and abs(cos) < 1.0 - tol.tau_col:
+        targets = np.array([_target(constraints[k].sense) for k in (i, j)])
+        Bmat = np.vstack([betas[i], betas[j]])
+        t, *_ = np.linalg.lstsq(Bmat, targets - np.array([alphas[i], alphas[j]]), rcond=None)
+    elif free:
+        beta = betas[free[0]]
+        bb = float(np.dot(beta, beta))
+        lower, upper = [], []  # (bound, closed)
+        for k in free:
+            mu = 1.0 if k == free[0] else float(np.dot(beta, betas[k])) / bb
+            sense = constraints[k].sense
+            side = lower if (sense != STRICT_NEGATIVE) == (mu > 0.0) else upper
+            side.append(((0.0 - alphas[k]) / mu, sense == NONNEG))
+        if not upper:
+            s = max(lower)[0] + 1.0
+        elif not lower:
+            s = min(upper)[0] - 1.0
         else:
-            mu = float(np.dot(bi, bj)) / float(np.dot(bi, bi))  # bj ~= mu * bi
-            Ii = _Interval.for_sense(constraints[i].sense).shift_scale(alphas[i], 1.0)
-            Ij = _Interval.for_sense(constraints[j].sense).shift_scale(alphas[j], mu)
-            interval = Ii.intersect(Ij)
-            if interval is None:
+            (lo, lo_closed), (hi, hi_closed) = lower[0], upper[0]
+            if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
                 return Section(N, warnings=warnings)
-            if interval.lo == interval.hi:
-                # The pair pins <bi, t>: the section lies in the slice N ∩ ker bj.
-                coeff = null_space(bj[None, :], tol)
+            if lo == hi:
+                # The pair pins s: the section lies in the slice N ∩ ker betas[j].
+                coeff = null_space(betas[j][None, :], tol)
                 span = SubspaceBasis(N.ambient, _canonicalize_columns(N.basis @ coeff.basis))
-            s = interval.pick()
-            t = bi * s / float(np.dot(bi, bi))
+                s = lo
+            else:
+                s = 0.5 * (lo + hi)
+        t = beta * s / bb
 
     witness = z0 + N.basis @ t
     ok = (homogeneous or float(np.linalg.norm(M @ witness - b)) <= tol.tau_stat * scale) and all(

@@ -150,7 +150,8 @@ class ProbeConfig:
     finer levels cannot sharpen the evidence: delta_63 = delta0 * 2^-63 is
     about 1e-19 * delta0, far under the 1e-9 residual bar that decides which
     points are stationary, and under the double resolution of any parameter
-    of order one, whose draws then round to the reference w.
+    of order one, whose draws then round to the reference w.  ``seed`` is
+    an integer in [-2^63, 2^63).
     """
 
     delta0: float = 0.1
@@ -173,6 +174,8 @@ class ProbeConfig:
             raise ValueError(f"at most {_MAX_LEVELS} radius levels")
         if self.rho_u is not None and not _finite_positive(self.rho_u):
             raise ValueError("locality radius must be finite and positive")
+        if not -(2**63) <= self.seed < 2**63:
+            raise ValueError("seed must lie in [-2^63, 2^63)")
 
 
 @dataclass
@@ -257,11 +260,11 @@ def kkt_residual(spec: ProblemSpec, x, w, tol: ToleranceConfig = ToleranceConfig
 # Batched damped Newton refinement
 # ---------------------------------------------------------------------------
 
-# Most distinct active rows in the Newton refiner's pool, and so in one step
+# Most distinct active rows of the Newton refiner, and so in one step
 # batch.  The probe refines the seeds of a radius level's stationary sets,
-# and polishes its pairs, as one stream each; the pool bounds the working
-# memory, and since every row follows its own iterations it cannot change a
-# result.  On a 2-CPU VM (Python 3.11, numpy 2.4), a pool of 1024 rows ran the
+# and polishes its pairs, as one stream each; the bound keeps the working
+# memory in check, and since every row follows its own iterations it cannot
+# change a result.  On a 2-CPU VM (Python 3.11, numpy 2.4), 1024 rows ran the
 # eight fixture probes 8-17% faster than 512 but raised the process's peak
 # RSS by 0.5-0.6 MiB more (traced peak 1.5 against 1.1 MiB).
 _CHUNK_ROWS = 512
@@ -414,78 +417,64 @@ class _Refiner:
         """Refine the seeds (N, n) in ``rows`` at their parameters W (d, N);
         returns (points, lambdas, converged_mask) of those rows, in order.
 
-        The rows stream through a pool of at most _CHUNK_ROWS active rows.
-        Each row iterates until it stalls, escapes, reaches residual 0 or
-        has taken newton_cap steps, and pending rows enter as others leave.
-        Before each step, pool rows whose iterate, parameter and step count
-        agree bit for bit are merged: only the first is stepped, and at the
-        end the others take its result.  A row's steps depend on that row
-        alone, so every row ends as it would refined by itself.
+        The state is kept in place, one entry per output position: iterate
+        Z, G and its norm at the iterate (carried from the evaluation that
+        accepted it) and steps taken; ``active`` holds the positions still
+        iterating, at most _CHUNK_ROWS of them.  Each row iterates until it
+        stalls, escapes, reaches residual 0 or has taken newton_cap steps,
+        and pending rows enter as others leave.  Before each step, active
+        rows whose iterate, parameter and step count agree bit for bit are
+        merged: only the first is stepped, and at the end the others take
+        its result.  A row's steps depend on that row alone, so every row
+        ends as it would refined by itself.
         """
         n, cap = self.n, self.grid.newton_cap
         m = n + (branch == "boundary")
-        Z_out, r_out = np.empty((rows.size, m)), np.empty(rows.size)
+        Z, G = np.empty((rows.size, m)), np.empty((rows.size, m))
+        rnorm, steps = np.empty(rows.size), np.zeros(rows.size, int)
         kill_radius = 1.5 * self.grid.r_x
-        # Per pool row: output position, iterate, parameter, G and its norm
-        # at the iterate (carried from the evaluation that accepted it), and
-        # steps taken.
-        pool = {
-            "pos": np.empty(0, int), "Z": np.empty((0, m)), "W": np.empty((0, W.shape[0])),
-            "G": np.empty((0, m)), "rnorm": np.empty(0), "steps": np.empty(0, int),
-        }
+        active = np.empty(0, int)
         merged = []  # (followers, leaders) as output positions, in merge order
         entered = 0
 
-        def keep(mask):
-            for k, a in pool.items():
-                pool[k] = a[mask]
-
-        def settle(done):
-            if np.any(done):
-                Z_out[pool["pos"][done]], r_out[pool["pos"][done]] = pool["Z"][done], pool["rnorm"][done]
-                keep(~done)
-
-        while entered < rows.size or pool["pos"].size:
-            new = np.arange(entered, min(rows.size, entered + _CHUNK_ROWS - pool["pos"].size))
+        while entered < rows.size or active.size:
+            new = np.arange(entered, min(rows.size, entered + _CHUNK_ROWS - active.size))
             if new.size:
                 entered = new[-1] + 1
                 Wn = W[:, rows[new]]
-                Zn = self._start(seeds[rows[new]], Wn, branch)
-                Gn, rn = self._residual(Zn, Wn, branch)
-                entry = {"pos": new, "Z": Zn, "W": Wn.T, "G": Gn, "rnorm": rn, "steps": np.zeros(new.size, int)}
-                for k in pool:
-                    pool[k] = np.concatenate([pool[k], entry[k]])
-                settle(~(pool["rnorm"] > 0.0))
-                if pool["pos"].size == 0:
+                Z[new] = Zn = self._start(seeds[rows[new]], Wn, branch)
+                G[new], rnorm[new] = self._residual(Zn, Wn, branch)
+                active = np.concatenate([active, new[rnorm[new] > 0.0]])
+                if active.size == 0:
                     continue
 
-            lead = _first_equal(np.hstack([pool["Z"], pool["W"], pool["steps"][:, None]]))
+            Wa = W[:, rows[active]]
+            lead = _first_equal(np.hstack([Z[active], Wa.T, steps[active, None]]))
             if lead is not None:
                 follow = lead != np.arange(lead.size)
-                merged.append((pool["pos"][follow], pool["pos"][lead[follow]]))
-                keep(~follow)
+                merged.append((active[follow], active[lead[follow]]))
+                active, Wa = active[~follow], Wa[:, ~follow]
 
             # Iterate to stall, not to an absolute bar: very flat residual
             # landscapes need machine-level resolution to locate the root.
-            Z, Wa, G, rnorm = pool["Z"], pool["W"].T, pool["G"], pool["rnorm"]
-            J = self._jacobian(Z, Wa, branch)
-            step = _pinv_step(J, G)
-            alpha, cand, Gc, rn_new = self._line_search(Z, Wa, step, rnorm, branch)
+            Za, ra = Z[active], rnorm[active]
+            step = _pinv_step(self._jacobian(Za, Wa, branch), G[active])
+            alpha, cand, Gc, rn_new = self._line_search(Za, Wa, step, ra, branch)
             with np.errstate(over="ignore"):  # a huge step's norm is inf: no stall
-                stalled = (rn_new >= rnorm * (1.0 - 1e-12)) | (
+                stalled = (rn_new >= ra * (1.0 - 1e-12)) | (
                     np.linalg.norm(alpha[:, None] * step, axis=1)
-                    <= 1e-15 * (1.0 + np.linalg.norm(Z, axis=1))
+                    <= 1e-15 * (1.0 + np.linalg.norm(Za, axis=1))
                 )
-            moved = ~stalled
-            Z[moved], G[moved], rnorm[moved] = cand[moved], Gc[moved], rn_new[moved]
-            pool["steps"] += 1
-            escaped = np.max(np.abs(Z[:, :n] - self.center[None, :]), axis=1) > kill_radius
-            settle(stalled | escaped | ~(rnorm > 0.0) | (pool["steps"] == cap))
+            moved = active[~stalled]
+            Z[moved], G[moved], rnorm[moved] = cand[~stalled], Gc[~stalled], rn_new[~stalled]
+            steps[active] += 1
+            escaped = np.max(np.abs(Z[active, :n] - self.center[None, :]), axis=1) > kill_radius
+            active = active[~(stalled | escaped | ~(rnorm[active] > 0.0) | (steps[active] == cap))]
 
         for followers, leaders in reversed(merged):
-            Z_out[followers], r_out[followers] = Z_out[leaders], r_out[leaders]
-        lams = Z_out[:, n] if branch == "boundary" else np.zeros(rows.size)
-        return Z_out[:, :n], lams, r_out <= ACCEPT_RESIDUAL
+            Z[followers], rnorm[followers] = Z[leaders], rnorm[leaders]
+        lams = Z[:, n] if branch == "boundary" else np.zeros(rows.size)
+        return Z[:, :n], lams, rnorm <= ACCEPT_RESIDUAL
 
 
 def _empty_branches(derivs: ProblemDerivatives, W: np.ndarray, center: np.ndarray, grid: GridSpec, tol: ToleranceConfig) -> list:
@@ -644,10 +633,11 @@ def _sample_sets(
 
     The grids are scanned and seeded a chunk of sets at a time (see
     ``_scan_grids``).  The Newton seeds of all the sets are refined as one
-    stream per branch, each row at its own set's parameter; the refiner's
-    pool bounds the working memory.  The empty-branch certificates of all
-    the sets come from one call.  A set whose two branches are certified
-    empty is not seeded, so no seed of it counts as diverged.
+    stream per branch, each row at its own set's parameter; the bound on
+    the refiner's active rows bounds the working memory.  The empty-branch
+    certificates of all the sets come from one call.  A set whose two
+    branches are certified empty is not seeded, so no seed of it counts as
+    diverged.
     """
     Ws = np.asarray(ws, dtype=float).T
     empty = _empty_branches(derivs, Ws, center, grid, tol)

@@ -60,6 +60,31 @@ def problem_dims(name: str) -> tuple:
     return spec.n, spec.d
 
 
+# Membership queries beyond the generic ones of `golden_queries`.
+EXTRA_QUERIES = {
+    "circle_boundary": [("-2", "2")],
+    "halfline_quadratic": [("0", "1"), ("-2", "1")],
+}
+
+
+def golden_queries(name: str) -> list:
+    """The (x', w') arguments of the membership golden: the origin, (0, e_k),
+    (e_i, 0), a few integer vectors and the fixture's extra queries."""
+    n, d = problem_dims(name)
+    vec = lambda v: ",".join(str(t) for t in v)
+    unit = lambda size, i: [int(j == i) for j in range(size)]
+    queries = [(vec([0] * n), vec([0] * d))]
+    queries += [(vec([0] * n), vec(unit(d, k))) for k in range(d)]
+    queries += [(vec(unit(n, i)), vec([0] * d)) for i in range(n)]
+    queries += [
+        (vec([1] * n), vec([1] * d)),
+        (vec([-2] * n), vec([1] * d)),
+        (vec([1] * n), vec([-2] * d)),
+        (vec(range(1, n + 1)), vec(range(-1, -d - 1, -1))),
+    ]
+    return queries + [q for q in EXTRA_QUERIES.get(name, []) if q not in queries]
+
+
 @pytest.fixture(scope="session")
 def problems():
     return {name: load_problem(fixture_path(name)) for name in FIXTURE_NAMES}

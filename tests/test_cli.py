@@ -13,7 +13,7 @@ import pytest
 from aubincheck import __version__
 from aubincheck.calculus import BLOCKS, ProblemDerivatives
 from aubincheck.cli import COMMANDS, build_parser, main
-from conftest import FIXTURE_NAMES, PROBEABLE, fixture_path, problem_dims
+from conftest import FIXTURE_NAMES, PROBEABLE, fixture_path, golden_queries
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 ROOT = GOLDEN_DIR.parent.parent
@@ -184,6 +184,17 @@ class TestErrorPaths:
         code, _ = run_cli(["analyze", str(p)])
         assert code == 2
 
+    def test_non_ascii_digit(self, tmp_path, capsys):
+        p = tmp_path / "digit.prob"
+        p.write_text(
+            '[problem]\nn = 1\nd = 1\nf0 = "x\u0661^2"\nF = "x1 - 1"\n\n[point]\nx = [0]\nw = [0]\n',
+            encoding="utf-8",
+        )
+        code, out = run_cli(["analyze", str(p)])
+        err = capsys.readouterr().err
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "unknown.prob"
         p.write_text(
@@ -337,6 +348,23 @@ class TestInputChecks:
         self._assert_one_error_line(code, out, capsys.readouterr().err)
 
     @pytest.mark.parametrize(
+        "seed", ["1" + "0" * 400, str(2**63), str(-(2**63) - 1)], ids=["1e400", "2^63", "-2^63-1"]
+    )
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    def test_seed_out_of_range(self, where, seed, tmp_path, capsys):
+        # A seed past float range stopped in the direction draws with a
+        # traceback; any seed outside [-2^63, 2^63) is a bad probe setting.
+        argv = ["probe", fixture_path("bilinear_ball"), f"--seed={seed}"]
+        if where == "file":
+            p = tmp_path / "seed.prob"
+            p.write_text(pathlib.Path(argv[1]).read_text() + f"\n[probe]\nseed = {seed}\n")
+            argv = ["probe", str(p)]
+        code, out = run_cli(argv)
+        err = capsys.readouterr().err
+        self._assert_one_error_line(code, out, err)
+        assert "seed" in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["analyze", "{n_zero}"],
@@ -403,37 +431,13 @@ class TestMembershipCommand:
         )
         assert json.loads(out)["membership"][0]["answer"] == "In"
 
-    # Extra queries beyond the generic ones of `golden_queries`.
-    EXTRA_QUERIES = {
-        "circle_boundary": [("-2", "2")],
-        "halfline_quadratic": [("0", "1"), ("-2", "1")],
-    }
-
-    @classmethod
-    def golden_queries(cls, name):
-        """(x', w') arguments: the origin, (0, e_k), (e_i, 0), a few integer
-        vectors and the fixture's extra queries."""
-        n, d = problem_dims(name)
-        vec = lambda v: ",".join(str(t) for t in v)
-        unit = lambda size, i: [int(j == i) for j in range(size)]
-        queries = [(vec([0] * n), vec([0] * d))]
-        queries += [(vec([0] * n), vec(unit(d, k))) for k in range(d)]
-        queries += [(vec(unit(n, i)), vec([0] * d)) for i in range(n)]
-        queries += [
-            (vec([1] * n), vec([1] * d)),
-            (vec([-2] * n), vec([1] * d)),
-            (vec([1] * n), vec([-2] * d)),
-            (vec(range(1, n + 1)), vec(range(-1, -d - 1, -1))),
-        ]
-        return queries + [q for q in cls.EXTRA_QUERIES.get(name, []) if q not in queries]
-
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_json_matches_golden(self, name):
         # sha256 of `membership --json` per query, pinned before membership
         # was rewritten to read the verdict's condition reports.
         golden = json.loads((GOLDEN_DIR / "membership.json").read_text())[name]
         digests = {}
-        for xp, wp in self.golden_queries(name):
+        for xp, wp in golden_queries(name):
             code, out = run_cli(
                 ["membership", fixture_path(name), "--json", f"--xprime={xp}", f"--wprime={wp}"]
             )

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -23,7 +26,7 @@ from aubincheck.conditions import (
 )
 from aubincheck.errors import NotStationary
 from aubincheck.expr import ProblemSpec, parse
-from conftest import PRODUCT_CONSTRAINT_ALT, make_bundle
+from conftest import FIXTURE_NAMES, PRODUCT_CONSTRAINT_ALT, golden_queries, make_bundle
 
 TOL = ToleranceConfig()
 
@@ -326,6 +329,38 @@ class TestMembership:
                 )
                 resid = np.linalg.norm(branch.M @ z - branch.rhs(xp, wp))
                 assert resid <= 1e-7 * (1.0 + np.linalg.norm(branch.rhs(xp, wp)))
+
+    SCALES = (2.0**-1000, 1e-300, 1e-9, 1e-7, 1e-3, 3.0, 1e100, 1e200, 1e300)
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_answers_do_not_depend_on_scale(self, problems, capfd, name):
+        # D*S(w|x) is positively homogeneous: (t x', t w') gets the answer of
+        # (x', w') for every t > 0, and for t = 2^j the witness times t.
+        pf = problems[name]
+        v = verdict(pf.spec, pf.point, pf.tolerances)
+        branches = {br.name: br for br in v.table.inner}
+        for xs, ws in golden_queries(name)[1:]:  # not the origin
+            xp, wp = (np.array(q.split(","), dtype=float) for q in (xs, ws))
+            base = coderivative_membership(v, xp, wp, pf.tolerances)
+            for t in self.SCALES:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    r = coderivative_membership(v, t * xp, t * wp, pf.tolerances)
+                assert caught == [] and r.answer == base.answer, (xs, ws, t)
+                if r.answer != "In":
+                    continue
+                if math.frexp(t)[0] == 0.5:
+                    assert r.witness_v == tuple(t * c for c in base.witness_v)
+                    assert r.witness_gamma == (None if base.witness_gamma is None else t * base.witness_gamma)
+                branch = branches[r.branch]
+                z = np.array(r.witness_v + ((r.witness_gamma,) if branch.has_gamma else ()))
+                rhs = branch.rhs(t * xp, t * wp)
+                # Compared at scale 2^-e, where nothing overflows.
+                e = math.frexp(float(np.max(np.abs(rhs))))[1]
+                rhs, z = np.ldexp(rhs, -e), np.ldexp(z, -e)
+                tau = pf.tolerances.tau_stat
+                assert np.linalg.norm(branch.M @ z - rhs) <= 2.0 * tau * np.linalg.norm(rhs), (xs, ws, t)
+        assert capfd.readouterr().err == ""
 
     def test_degenerate_unknown_without_regularity(self):
         # C4_10 fails here, so a non-inner point cannot be certified Out.

@@ -204,6 +204,19 @@ def test_parse_errors_match_golden():
     assert text == (GOLDEN_DIR / "parse_errors.json").read_text()
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [("x\u0661", 1), ("\u0663*x1", 0), ("x1^\u0663", 3), ("x1 + \uff12", 5)],
+    ids=["arabic_index", "arabic_literal", "arabic_exponent", "fullwidth_literal"],
+)
+def test_digits_are_ascii(text, position):
+    # Only 0-9 are digits: an Arabic-Indic or full-width digit is a bad
+    # character where it stands.
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse(text, 1, 1)
+    assert err.value.position == position
+
+
 def test_long_flat_sum():
     # A flat sum parses at any length; a bad last character is reported
     # where it stands.

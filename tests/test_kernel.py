@@ -1,3 +1,7 @@
+import hashlib
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +19,8 @@ from aubincheck.kernel import (
 )
 
 TOL = ToleranceConfig()
+
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 class TestNullSpace:
@@ -310,3 +316,116 @@ class TestConditioningWarnings:
         )
         result = cone_span(K, cons, TOL)
         assert result.empty and not result.warnings
+
+
+# ---------------------------------------------------------------------------
+# cone_section pinned byte for byte
+# ---------------------------------------------------------------------------
+
+SENSES = (STRICT_POSITIVE, NONNEG, STRICT_NEGATIVE)
+SENSE_PATTERNS = [()] + [(s,) for s in SENSES] + [(s, t) for s in SENSES for t in SENSES]
+# Exact multiples, so collinear pairs stay collinear bit for bit on ker M.
+MULTIPLES = (0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
+CASES_PER_GROUP = 30
+
+
+def _section_bytes(section) -> bytes:
+    """The bytes of a Section: ker M, point, span and warnings."""
+    parts = []
+    for a in (
+        None if section.source is None else section.source.basis,
+        section.point,
+        None if section.span is None else section.span.basis,
+    ):
+        parts.append(b"none" if a is None else repr(a.shape).encode() + a.tobytes())
+    parts.append("\n".join(section.warnings).encode())
+    return b"|".join(parts)
+
+
+def _random_case(rng, rhs: str, pattern: tuple, geometry: str):
+    """(M, b, constraints) of one seeded input.
+
+    ``rhs`` is "zero", "consistent" or "inconsistent"; ``geometry`` is
+    "general", "collinear" (the second functional an exact multiple of the
+    first) or "integer" (rounded data, for exact ties and functionals that
+    vanish on ker M).
+    """
+    m = int(rng.integers(1, 5))
+    rows = int(rng.integers(1, m + 2))
+    rank = int(rng.integers(0, min(rows, m) + 1))
+    M = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, m))
+    cs = [rng.standard_normal(m) for _ in pattern]
+    if geometry == "collinear":
+        cs[1] = rng.choice(MULTIPLES) * cs[0]
+    if geometry == "integer":
+        M = np.round(2.0 * M)
+        cs = [np.round(1.5 * c) for c in cs]
+    if rhs == "zero":
+        b = np.zeros(rows)
+    elif rhs == "consistent":
+        z = rng.standard_normal(m)
+        b = M @ (np.round(2.0 * z) if geometry == "integer" else z)
+    else:
+        b = rng.standard_normal(rows)
+        if geometry == "integer":
+            b = np.round(2.0 * b)
+        if rank == rows:  # M z = b would be solvable: add a dependent row
+            M = np.vstack([M, M[:1]])
+            b = np.append(b, b[0] + 1.0)
+    return M, b, tuple(ConeConstraint(c, s) for c, s in zip(cs, pattern))
+
+
+def _named_cases() -> dict:
+    t = 3.163e-4  # 1 - |cos| ~= 5e-8, inside (tau_col, 10 tau_col]
+    band = (ConeConstraint([1.0, 0.0], STRICT_POSITIVE), ConeConstraint([-1.0, -t], NONNEG))
+    slice_pair = (ConeConstraint([1.0, 1.0, 1.0], NONNEG), ConeConstraint([-1.0, -1.0, -1.0], NONNEG))
+    plane = np.array([[0.0, 0.0, 1.0]])
+    return {
+        "slice_b0": (plane, [0.0], slice_pair),
+        "slice_b_nonzero": (plane, [2.0], slice_pair),
+        "slice_scaled": (plane, [-3.0], (slice_pair[0], ConeConstraint([2.0, 2.0, 2.0], NONNEG))),
+        "strict_meets_nonneg_b0": (
+            np.zeros((1, 1)), [0.0],
+            (ConeConstraint([1.0], STRICT_POSITIVE), ConeConstraint([-1.0], NONNEG)),
+        ),
+        "strict_meets_nonneg_b_nonzero": (
+            plane, [1.0],
+            (ConeConstraint([0.0, 1.0, 1.0], STRICT_POSITIVE), ConeConstraint([0.0, -2.0, -2.0], NONNEG)),
+        ),
+        "nonneg_meets_strict_negative": (
+            plane, [1.0],
+            (ConeConstraint([0.0, 1.0, 1.0], NONNEG), ConeConstraint([0.0, 1.0, 1.0], STRICT_NEGATIVE)),
+        ),
+        "warning_band_b0": (np.zeros((1, 2)), [0.0], band),
+        "warning_band_b_nonzero": (np.array([[0.0, 0.0, 1.0]]), [1.0], tuple(
+            ConeConstraint(list(c.c) + [0.5], c.sense) for c in band
+        )),
+        "warning_band_reversed": (np.zeros((1, 2)), [0.0], band[::-1]),
+    }
+
+
+def cone_section_document() -> dict:
+    """sha256 of the Sections of every seeded group and named case."""
+    out = {}
+    group = 0
+    for rhs in ("zero", "consistent", "inconsistent"):
+        for pattern in SENSE_PATTERNS:
+            geometries = ("general", "collinear", "integer") if len(pattern) == 2 else ("general", "integer")
+            for geometry in geometries:
+                rng = np.random.default_rng(group)
+                group += 1
+                h = hashlib.sha256()
+                for _ in range(CASES_PER_GROUP):
+                    M, b, cons = _random_case(rng, rhs, pattern, geometry)
+                    h.update(_section_bytes(cone_section(M, b, cons, TOL)))
+                out[f"{rhs}/{','.join(pattern) or 'none'}/{geometry}"] = h.hexdigest()
+    for name, (M, b, cons) in _named_cases().items():
+        out[name] = hashlib.sha256(_section_bytes(cone_section(M, b, cons, TOL))).hexdigest()
+    return out
+
+
+def test_cone_sections_match_golden():
+    golden = json.loads((GOLDEN_DIR / "cone_sections.json").read_text())
+    digests = cone_section_document()
+    assert digests.keys() == golden.keys()
+    assert sorted(k for k in golden if digests[k] != golden[k]) == []

@@ -479,6 +479,15 @@ class TestAubinProbe:
         with pytest.raises(ValueError, match="at most 64 radius levels"):
             ProbeConfig(levels=65)
 
+    def test_seed_bound(self):
+        # Negative seeds work; the probe draws directions from seed + level.
+        for seed in (-(2**63), -1, 2**63 - 1):
+            assert ProbeConfig(seed=seed).seed == seed
+            assert len(oracle._directions(2, 4, seed + oracle._MAX_LEVELS - 1)) == 4
+        for seed in (-(2**63) - 1, 2**63, 10**400):
+            with pytest.raises(ValueError, match=re.escape("seed must lie in [-2^63, 2^63)")):
+                ProbeConfig(seed=seed)
+
     def test_scan_calls_stay_chunk_bounded(self, problems, monkeypatch):
         # The grid scan shares _kkt_batch calls between sets only up to the
         # line search's largest batch, so the working memory stays bounded.
