@@ -17,7 +17,6 @@ reference point (infeasible, not stationary, MFCQ violated, out of domain);
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import warnings
 
@@ -26,7 +25,7 @@ from .calculus import derivative_bundle, finite_difference_audit
 from .conditions import MODE_EXTENDED, MODE_STRICT, coderivative_membership, verdict
 from .errors import DomainError, GridTooCoarse, InputError, PreconditionError
 from .oracle import aubin_probe, write_samples_csv
-from .problemfile import ProblemFile, load_problem
+from .problemfile import ProblemFile, _reals, load_problem
 from .report import (
     analysis_document,
     derivatives_document,
@@ -41,31 +40,7 @@ EXIT_PRECONDITION = 3
 EXIT_CAPABILITY = 4
 
 
-def _parse_overrides(pairs) -> dict:
-    overrides = {}
-    for item in pairs or ():
-        if "=" not in item:
-            raise InputError(f"tolerance override {item!r} is not of the form key=value")
-        key, value = item.split("=", 1)
-        try:
-            overrides[key.strip()] = float(value)
-        except ValueError:
-            raise InputError(f"tolerance override {item!r} has a non-numeric value") from None
-    return overrides
-
-
-def _parse_vector(text: str, name: str) -> list:
-    message = f"--{name} must be a comma-separated list of finite reals"
-    try:
-        values = [float(tok) for tok in text.split(",")]
-    except ValueError:
-        raise InputError(message) from None
-    if not all(map(math.isfinite, values)):
-        raise InputError(message)
-    return values
-
-
-# probe flags and the [probe] keys they override
+# probe flags and the [probe] keys they set
 _PROBE_FLAGS = (
     ("box_radius", "r_x"),
     ("grid_points", "points_per_axis"),
@@ -77,14 +52,22 @@ _PROBE_FLAGS = (
 
 
 def _load(args) -> ProblemFile:
-    probe_overrides = {
-        key: getattr(args, flag)
+    """The problem file with the command line's settings read as its values
+    (``str`` gives back argparse's ints and floats exactly)."""
+    tolerances = {}
+    for item in getattr(args, "tol_overrides", None) or ():
+        if "=" not in item:
+            raise InputError(f"tolerance override {item!r} is not of the form key=value")
+        key, value = item.split("=", 1)
+        tolerances[key.strip()] = value
+    probe = {
+        key: str(getattr(args, flag))
         for flag, key in _PROBE_FLAGS
         if getattr(args, flag, None) is not None
     }
-    return load_problem(
-        args.file, _parse_overrides(getattr(args, "tol_overrides", None)), probe_overrides
-    )
+    # configparser would add an empty section too, at a cost on every command
+    overrides = {section: kv for section, kv in (("tolerances", tolerances), ("probe", probe)) if kv}
+    return load_problem(args.file, overrides)
 
 
 def _emit(args, doc, text_renderer=render_text) -> None:
@@ -103,8 +86,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_membership(args) -> int:
     pf = _load(args)
-    xprime = _parse_vector(args.xprime, "xprime")
-    wprime = _parse_vector(args.wprime, "wprime")
+    xprime = _reals(args.xprime, "xprime")
+    wprime = _reals(args.wprime, "wprime")
     v = verdict(pf.spec, pf.point, pf.tolerances, args.mode)
     result = coderivative_membership(v, xprime, wprime, pf.tolerances)
     entry = {

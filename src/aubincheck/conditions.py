@@ -11,7 +11,7 @@ with the structural implications C3_5 <=> C3_2 and C3_4,
 C4_8 => C4_4 and C4_6, C4_13 => C4_14.
 
 Verdict and membership read one table per case (``gamma_systems``): the
-inner estimate's branches, the outer estimate's branches, the regularity
+inner estimate's branch, the outer estimate's branches, the regularity
 condition under which the outer estimate is valid, and the exactness
 condition.  Each branch names its condition:
 
@@ -119,43 +119,34 @@ class ConditionReport:
 class GammaBranch:
     """One affine-conic branch system: M z = rhs(x', w') with sign constraints.
 
-    ``rhs_layout`` labels the stacked rows: "x" rows receive -x', "zero" rows
-    receive 0, "w" rows (always last) receive w'.  Unknowns are (v, gamma)
-    when ``has_gamma`` else v alone.  ``condition`` is the id of the branch's
-    x' = 0 test; ``evidence_key`` names the kernel dimension in its report
-    when the branch has no sign constraints.
+    The first n rows of M receive -x', its last ``w_rows`` (= d) rows receive
+    w', and the rows between them (none, or the one row [gxF^T | 0]) receive 0.
+    Its columns are the unknowns: v (n columns), then gamma when M has n + 1.
+    ``condition`` is the id of the branch's x' = 0 test; ``evidence_key``
+    names the kernel dimension in its report when the branch has no sign
+    constraints.
     """
 
     name: str
     condition: str
     M: np.ndarray
-    rhs_layout: tuple
-    constraints: tuple
-    has_gamma: bool
+    w_rows: int
+    constraints: tuple = ()
     evidence_key: str = "restricted_kernel_dim"
 
-    @property
-    def w_rows(self) -> int:
-        return self.rhs_layout[-1][1]
-
     def rhs(self, xprime: np.ndarray, wprime: np.ndarray) -> np.ndarray:
-        parts = []
-        for label, count in self.rhs_layout:
-            if label == "x":
-                parts.append(-np.asarray(xprime, dtype=float))
-            elif label == "zero":
-                parts.append(np.zeros(count))
-            else:
-                parts.append(np.asarray(wprime, dtype=float))
-        return np.concatenate(parts)
+        xprime = np.asarray(xprime, dtype=float)
+        zeros = np.zeros(self.M.shape[0] - xprime.shape[0] - self.w_rows)
+        return np.concatenate([-xprime, zeros, np.asarray(wprime, dtype=float)])
 
 
 @dataclass(frozen=True)
 class GammaSetDescription:
-    """One case's table: inner and outer branches, regularity and exactness ids."""
+    """One case's table: the inner branch, the outer branches, regularity and
+    exactness ids."""
 
     case: str
-    inner: tuple
+    inner: GammaBranch
     outer: tuple
     regularity: str
     exactness: str | None = None
@@ -171,8 +162,8 @@ def gamma_systems(b: DerivativeBundle, tag: CaseTag, lam: float) -> GammaSetDesc
     n, d = b.n, b.d
     if tag.is_interior:
         M = np.vstack([b.Hxx, b.Hwx])
-        branch = GammaBranch("Gamma1", "C3_4", M, (("x", n), ("w", d)), (), False, "ker_Hxx_dim")
-        return GammaSetDescription("interior", (branch,), (), "C3_2", "C3_5")
+        branch = GammaBranch("Gamma1", "C3_4", M, d, evidence_key="ker_Hxx_dim")
+        return GammaSetDescription("interior", branch, (), "C3_2", "C3_5")
 
     Hxx, Hwx = b.Hxx, b.Hwx
     if tag.subtag == NONDEGENERATE:
@@ -183,24 +174,22 @@ def gamma_systems(b: DerivativeBundle, tag: CaseTag, lam: float) -> GammaSetDesc
     gamma_coord = np.zeros(n + 1)
     gamma_coord[n] = 1.0
     restricted = np.vstack([A1, gxF_lift[None, :], A2])
-    restricted_layout = (("x", n), ("zero", 1), ("w", d))
 
     if tag.subtag == NONDEGENERATE:
-        branch = GammaBranch("Gamma2", "C4_6", restricted, restricted_layout, (), True)
-        return GammaSetDescription("nondegenerate", (branch,), (), "C4_4", "C4_8")
+        branch = GammaBranch("Gamma2", "C4_6", restricted, d)
+        return GammaSetDescription("nondegenerate", branch, (), "C4_4", "C4_8")
 
     pair = np.vstack([A1, A2])
-    layout = (("x", n), ("w", d))
     wedge = (ConeConstraint(gxF_lift, NONNEG), ConeConstraint(gamma_coord, NONNEG))
     ascent = (ConeConstraint(gxF_lift, STRICT_POSITIVE), ConeConstraint(gamma_coord, NONNEG))
     descent = (ConeConstraint(b.gxF, STRICT_NEGATIVE),)
-    inner = GammaBranch("Gamma1_hat", "C4_14", pair, layout, wedge, True)
+    inner = GammaBranch("Gamma1_hat", "C4_14", pair, d, wedge)
     outer = (
-        GammaBranch("Gamma3_tangential", "C4_11a", restricted, restricted_layout, (), True),
-        GammaBranch("Gamma3_ascent", "C4_11b", pair, layout, ascent, True),
-        GammaBranch("Gamma3_descent", "C4_12", np.vstack([b.Hxx, b.Hwx]), layout, descent, False),
+        GammaBranch("Gamma3_tangential", "C4_11a", restricted, d),
+        GammaBranch("Gamma3_ascent", "C4_11b", pair, d, ascent),
+        GammaBranch("Gamma3_descent", "C4_12", np.vstack([b.Hxx, b.Hwx]), d, descent),
     )
-    return GammaSetDescription("degenerate", (inner,), outer, "C4_10")
+    return GammaSetDescription("degenerate", inner, outer, "C4_10")
 
 
 # ---------------------------------------------------------------------------
@@ -211,30 +200,27 @@ def _branch_test(branch: GammaBranch, tol: ToleranceConfig):
     """(report of the branch's x' = 0 test, K = null space of its x and zero rows)."""
     top = branch.M[: -branch.w_rows]
     W = branch.M[-branch.w_rows :]
-    if not branch.constraints:
-        K = null_space(top, tol)
-        holds = contained_in_kernel(K, W, tol)
-        return ConditionReport(branch.condition, holds, {branch.evidence_key: K.dim}), K
     section = cone_section(top, np.zeros(top.shape[0]), branch.constraints, tol)
     K = section.source
-    if section.empty:
+    holds = section.empty or contained_in_kernel(section.span, W, tol)
+    if not branch.constraints:
+        evidence = {branch.evidence_key: K.dim}
+    elif section.empty:
         evidence = {"cone_section": "empty", "source_dim": K.dim}
-        return ConditionReport(branch.condition, True, evidence, section.warnings), K
-    holds = contained_in_kernel(section.span, W, tol)
-    evidence = {"cone_section": "spans", "span_dim": section.span.dim, "source_dim": K.dim}
+    else:
+        evidence = {"cone_section": "spans", "span_dim": section.span.dim, "source_dim": K.dim}
     return ConditionReport(branch.condition, holds, evidence, section.warnings), K
 
 
 def condition_reports(desc: GammaSetDescription, tol: ToleranceConfig = ToleranceConfig()) -> tuple:
     """The case's condition reports, read off its table, in CONDITION_ORDER."""
-    (inner,) = desc.inner
-    inner_report, K = _branch_test(inner, tol)
+    inner_report, K = _branch_test(desc.inner, tol)
     outer_reports = [_branch_test(branch, tol)[0] for branch in desc.outer]
-    joint = null_space(inner.M, tol)
+    joint = null_space(desc.inner.M, tol)
     regular = ConditionReport(desc.regularity, joint.is_trivial, {"kernel_dim": joint.dim})
     reports = [inner_report, regular, *outer_reports]
     if desc.exactness is not None:
-        evidence = {inner.evidence_key: K.dim}
+        evidence = {desc.inner.evidence_key: K.dim}
         if desc.exactness == "C3_5":  # also the extended map's criterion
             evidence["extended_map_lipschitz_like"] = K.is_trivial
         reports.append(ConditionReport(desc.exactness, K.is_trivial, evidence))
@@ -258,17 +244,17 @@ _EXTENDED_ONLY = "LowerEstimateNecessity"
 
 
 def _decide(desc: GammaSetDescription, reports, mode: str) -> tuple[str, str | None]:
-    """No when an inner branch condition fails; Yes when the regularity
+    """No when the inner branch's condition fails; Yes when the regularity
     condition and the outer estimate's conditions (the inner branch's, when
     there is no outer branch) hold; Unknown otherwise."""
     holds = {r.id: r.holds for r in reports}
     yes, no_regular, no_irregular = _THEOREMS[desc.case]
     regular = holds[desc.regularity]
-    if not all(holds[b.condition] for b in desc.inner):
+    if not holds[desc.inner.condition]:
         theorem = no_regular if regular else no_irregular
         if mode == MODE_EXTENDED or theorem != _EXTENDED_ONLY:
             return NO, theorem
-    if regular and all(holds[b.condition] for b in desc.outer or desc.inner):
+    if regular and all(holds[b.condition] for b in desc.outer or (desc.inner,)):
         return YES, yes
     return UNKNOWN, None
 
@@ -358,12 +344,6 @@ class MembershipResult:
     notes: tuple = ()
 
 
-def _witness_from(z: np.ndarray, branch: GammaBranch, n: int) -> tuple:
-    if branch.has_gamma:
-        return tuple(float(t) for t in z[:n]), float(z[n])
-    return tuple(float(t) for t in z), None
-
-
 def coderivative_membership(
     v: Verdict, xprime, wprime, tol: ToleranceConfig = ToleranceConfig()
 ) -> MembershipResult:
@@ -399,11 +379,11 @@ def coderivative_membership(
         """A point of the branch's section at (x', w'), or None when it is Empty."""
         return cone_section(branch.M, branch.rhs(xprime, wprime), branch.constraints, tol).point
 
-    for branch in desc.inner:
-        point = solve(branch)
-        if point is not None:
-            witness_v, gamma = _witness_from(np.ldexp(point, k), branch, b.n)
-            return MembershipResult("In", witness_v, gamma, branch.name)
+    point = solve(desc.inner)
+    if point is not None:
+        z = [float(t) for t in np.ldexp(point, k)]
+        gamma = z[b.n] if len(z) > b.n else None
+        return MembershipResult("In", tuple(z[: b.n]), gamma, desc.inner.name)
     if not v.condition(desc.regularity).holds:
         note = f"exactness unavailable: {desc.regularity} fails, outer estimate not certified"
         return MembershipResult("Unknown", notes=(note,))

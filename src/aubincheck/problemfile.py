@@ -11,18 +11,26 @@ The format is INI-style text with four sections::
                         newton_cap, delta0, levels, samples,
                         rho_u, growth, blowup, ratio_floor, seed
 
-Unknown sections or keys are rejected.
+Unknown sections or keys are rejected.  Every number outside an expression
+is an optional sign and ASCII decimals: ``[+-]?[0-9]+`` for n, d and the
+integer probe settings, an optional sign and the expression grammar's
+literal for reals, which must also be finite.  ``1_000``, ``inf``, ``nan``
+and other scripts' digits are rejected.  The command line's settings
+(``--tol-overrides`` and the probe flags) are read as the file's values:
+``load_problem`` lays them over the file before it checks any key or
+number.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
+import re
 from dataclasses import dataclass, fields
 
 from .calculus import EvalPoint, ToleranceConfig, _check_dims
 from .errors import InputError
-from .expr import ProblemSpec, parse
+from .expr import _NUM, ProblemSpec, parse
 from .oracle import GridSpec, ProbeConfig
 
 __all__ = ["ProblemFile", "load_problem"]
@@ -31,6 +39,8 @@ _TOL_KEYS, _GRID_KEYS, _PROBE_KEYS = (
     tuple(f.name for f in fields(cls)) for cls in (ToleranceConfig, GridSpec, ProbeConfig)
 )
 _INT_KEYS = ("n", "d", "points_per_axis", "newton_cap", "levels", "samples", "seed")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+_REAL_RE = re.compile(rf"[+-]?{_NUM}")
 
 
 @dataclass(frozen=True)
@@ -53,41 +63,41 @@ def _unquote(raw: str, key: str) -> str:
     raise InputError(f"value of {key!r} must be quoted, got {raw!r}")
 
 
+def _reals(text: str, key: str) -> list:
+    """The comma-separated reals of a point list or a membership query."""
+    return [_number(tok, key) for tok in text.split(",")]
+
+
 def _parse_list(raw: str, key: str) -> list:
     s = raw.strip()
     if not (s.startswith("[") and s.endswith("]")):
         raise InputError(f"value of {key!r} must be a bracketed list, got {raw!r}")
-    body = s[1:-1].strip()
-    if not body:
+    if not s[1:-1].strip():
         raise InputError(f"list {key!r} must not be empty")
-    try:
-        values = [float(tok) for tok in body.split(",")]
-    except ValueError as exc:
-        raise InputError(f"could not parse list {key!r}: {exc}") from None
-    if not all(map(math.isfinite, values)):
-        raise InputError(f"list {key!r} must hold finite reals, got {raw!r}")
-    return values
+    return _reals(s[1:-1], key)
 
 
 def _number(raw: str, key: str):
-    try:
-        if key in _INT_KEYS:
-            return int(raw.strip())
-        return float(raw.strip())
-    except ValueError as exc:
-        raise InputError(f"could not parse {key!r}: {exc}") from None
+    s = raw.strip()
+    if key in _INT_KEYS:
+        if _INT_RE.fullmatch(s):
+            return int(s)
+    elif _REAL_RE.fullmatch(s) and math.isfinite(float(s)):
+        return float(s)
+    kind = "an integer" if key in _INT_KEYS else "a finite real"
+    raise InputError(f"could not parse {key!r}: {s!r} is not {kind} in ASCII decimals")
 
 
-def load_problem(
-    path: str, tol_overrides: dict | None = None, probe_overrides: dict | None = None
-) -> ProblemFile:
-    """Load and validate a problem file; optional CLI tolerance and [probe]
-    overrides win over the file's values."""
+def load_problem(path: str, overrides: dict | None = None) -> ProblemFile:
+    """Load and validate a problem file.  ``overrides`` ({section: {key:
+    text}}, the command line's settings) replace the file's values and are
+    checked exactly like them."""
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str  # keys are case-sensitive
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cp.read_file(fh, source=path)
+        cp.read_dict(overrides or {}, source="<command line>")
     except OSError as exc:
         raise InputError(f"cannot read problem file: {exc}") from None
     except configparser.Error as exc:
@@ -127,33 +137,14 @@ def load_problem(
     point = EvalPoint(x, w)
     note = _unquote(cp["problem"]["note"], "note") if "note" in cp["problem"] else None
 
-    tol_kwargs = {}
-    if "tolerances" in cp:
-        for key in cp["tolerances"]:
-            tol_kwargs[key] = _number(cp["tolerances"][key], key)
-    if tol_overrides:
-        for key, value in tol_overrides.items():
-            if key not in _TOL_KEYS:
-                raise InputError(f"unknown tolerance {key!r}")
-            tol_kwargs[key] = float(value)
+    tol_values, probe_values = (
+        {k: _number(v, k) for k, v in cp[section].items()} if section in cp else {}
+        for section in ("tolerances", "probe")
+    )
     try:
-        tol = ToleranceConfig(**tol_kwargs)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-
-    probe_values = {}
-    if "probe" in cp:
-        for key in cp["probe"]:
-            probe_values[key] = _number(cp["probe"][key], key)
-    for key, value in (probe_overrides or {}).items():
-        if key not in allowed["probe"]:
-            raise InputError(f"unknown probe setting {key!r}")
-        probe_values[key] = value
-    grid_kwargs = {k: v for k, v in probe_values.items() if k in _GRID_KEYS}
-    probe_kwargs = {k: v for k, v in probe_values.items() if k not in _GRID_KEYS}
-    try:
-        grid = GridSpec(**grid_kwargs)
-        probe = ProbeConfig(**probe_kwargs)
+        tol = ToleranceConfig(**tol_values)
+        grid = GridSpec(**{k: v for k, v in probe_values.items() if k in _GRID_KEYS})
+        probe = ProbeConfig(**{k: v for k, v in probe_values.items() if k not in _GRID_KEYS})
     except ValueError as exc:
         raise InputError(str(exc)) from None
 

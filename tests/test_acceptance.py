@@ -92,7 +92,7 @@ def test_criterion_2_value_reproduction(problems):
     tag = classify_point(b, TOL)
     m = lagrange_multiplier(b, TOL)
     assert abs(m.lam - 1.0) <= 1e-10
-    A1 = gamma_systems(b, tag, m.lam).inner[0].M[: b.n]  # [Hxx + lam*Fxx | gxF]
+    A1 = gamma_systems(b, tag, m.lam).inner.M[: b.n]  # [Hxx + lam*Fxx | gxF]
     assert np.max(np.abs(A1 - np.array([[0.0, 2.0]]))) <= 1e-10
     ker = null_space(A1, TOL)
     assert ker.dim == 1
@@ -103,7 +103,7 @@ def test_criterion_2_value_reproduction(problems):
     tag = classify_point(b, TOL)
     m = lagrange_multiplier(b, TOL)
     assert abs(m.lam - 1.0) <= 1e-10
-    A1 = gamma_systems(b, tag, m.lam).inner[0].M[: b.n]
+    A1 = gamma_systems(b, tag, m.lam).inner.M[: b.n]
     ker = null_space(A1, TOL)
     # ker A1 is the (v1, v2) plane: dimension 2, gamma component zero.
     assert ker.dim == 2
@@ -222,8 +222,8 @@ def test_criterion_5e_membership_witnesses(problems):
             r = coderivative_membership(v, xp, wp, TOL)
             if r.answer != "In":
                 continue
-            branch = next(br for br in desc.inner + desc.outer if br.name == r.branch)
-            z = np.array(list(r.witness_v) + ([r.witness_gamma] if branch.has_gamma else []))
+            branch = next(br for br in (desc.inner, *desc.outer) if br.name == r.branch)
+            z = np.array(list(r.witness_v) + ([r.witness_gamma] if r.witness_gamma is not None else []))
             rhs = branch.rhs(xp, wp)
             assert np.linalg.norm(branch.M @ z - rhs) <= 1e-7 * (1.0 + np.linalg.norm(rhs))
     print("\nACCEPTANCE 5e PASS: witnesses re-satisfy branch systems at 1e-7; origin always In")

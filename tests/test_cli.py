@@ -384,6 +384,36 @@ class TestInputChecks:
         code, out = run_cli([arg.format(**paths) for arg in argv])
         self._assert_one_error_line(code, out, capsys.readouterr().err, "error: DimensionMismatch:")
 
+    @pytest.mark.parametrize(
+        "edit, argv",
+        [
+            (("n = 1", "n = \u0661"), []),  # Arabic-Indic one
+            (("x = [0]", "x = [\u0660]"), []),
+            (("w = [0]", "w = [0]\n\n[tolerances]\ntau_rank = \uff11e-8"), []),  # full-width one
+            (("w = [0]", "w = [0]\n\n[probe]\nseed = \u0663"), []),
+            (("w = [0]", "w = [0]\n\n[tolerances]\ntau_rank = 1_0e-10"), []),
+            (None, ["--tol-overrides", "tau_rank=\uff11e-8"]),
+        ],
+        ids=["n", "x", "full-width", "seed", "underscore", "tol-overrides"],
+    )
+    def test_numbers_take_ascii_decimals_only(self, edit, argv, tmp_path, capsys):
+        # Python's int() and float() take any script's decimal digits and
+        # underscores; numbers outside expressions follow the expression
+        # grammar instead.
+        text = pathlib.Path(fixture_path("halfline_quadratic")).read_text()
+        if edit is not None:
+            assert edit[0] in text
+            text = text.replace(*edit)
+        p = tmp_path / "digits.prob"
+        p.write_text(text)
+        code, out = run_cli(["analyze", str(p), *argv])
+        self._assert_one_error_line(code, out, capsys.readouterr().err, "error: InputError:")
+
+    def test_query_takes_ascii_decimals_only(self, capsys):
+        argv = ["membership", fixture_path("circle_boundary"), "--xprime=\u0662", "--wprime=1"]
+        code, out = run_cli(argv)
+        self._assert_one_error_line(code, out, capsys.readouterr().err, "error: InputError:")
+
 
 class TestMembershipCommand:
     def test_in_with_witness(self):

@@ -55,7 +55,7 @@ def _table(problems, name):
 
 def _blocks(desc, n, d):
     """(A1, A2) of a boundary table: the inner branch's first n and last d rows."""
-    M = desc.inner[0].M
+    M = desc.inner.M
     return M[:n], M[-d:]
 
 
@@ -323,9 +323,9 @@ class TestMembership:
                 r = coderivative_membership(v, xp, wp, TOL)
                 if r.answer != "In":
                     continue
-                branch = next(br for br in desc.inner + desc.outer if br.name == r.branch)
+                branch = next(br for br in (desc.inner, *desc.outer) if br.name == r.branch)
                 z = np.array(
-                    list(r.witness_v) + ([r.witness_gamma] if branch.has_gamma else [])
+                    list(r.witness_v) + ([r.witness_gamma] if r.witness_gamma is not None else [])
                 )
                 resid = np.linalg.norm(branch.M @ z - branch.rhs(xp, wp))
                 assert resid <= 1e-7 * (1.0 + np.linalg.norm(branch.rhs(xp, wp)))
@@ -338,7 +338,7 @@ class TestMembership:
         # (x', w') for every t > 0, and for t = 2^j the witness times t.
         pf = problems[name]
         v = verdict(pf.spec, pf.point, pf.tolerances)
-        branches = {br.name: br for br in v.table.inner}
+        branches = {v.table.inner.name: v.table.inner}
         for xs, ws in golden_queries(name)[1:]:  # not the origin
             xp, wp = (np.array(q.split(","), dtype=float) for q in (xs, ws))
             base = coderivative_membership(v, xp, wp, pf.tolerances)
@@ -353,7 +353,7 @@ class TestMembership:
                     assert r.witness_v == tuple(t * c for c in base.witness_v)
                     assert r.witness_gamma == (None if base.witness_gamma is None else t * base.witness_gamma)
                 branch = branches[r.branch]
-                z = np.array(r.witness_v + ((r.witness_gamma,) if branch.has_gamma else ()))
+                z = np.array(r.witness_v + ((r.witness_gamma,) if r.witness_gamma is not None else ()))
                 rhs = branch.rhs(t * xp, t * wp)
                 # Compared at scale 2^-e, where nothing overflows.
                 e = math.frexp(float(np.max(np.abs(rhs))))[1]

@@ -11,6 +11,8 @@ seeded problems with their metamorphic variants (``conftest.build_corpus``).
 * Every derivative DAG is pinned, not only its values: ``golden/tapes.json``
   holds one sha256 per problem over ``render`` of every entry of the bundle
   tape and of both branches' Newton tapes.
+* Every case table is pinned: ``golden/case_tables.json`` holds one sha256
+  per problem over its verdict's table (``case_table_digests``).
 * Every derivative block of the bundle agrees with an evaluation of the
   problem text that shares no code with the program: gradients by the complex
   step (``bench/checks.Function``), second-order blocks by central
@@ -40,6 +42,7 @@ from test_cli import run_cli
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "verdicts.json"
 DERIVATIVES_GOLDEN = GOLDEN.parent / "derivatives.json"
 TAPES_GOLDEN = GOLDEN.parent / "tapes.json"
+CASE_TABLES_GOLDEN = GOLDEN.parent / "case_tables.json"
 TAU_RANKS = (1e-6, 1e-9, 1e-12)
 
 
@@ -144,6 +147,34 @@ def tape_digests(corpus) -> dict:
 def test_tapes_match_golden(corpus):
     golden = json.loads(TAPES_GOLDEN.read_text())
     digests = tape_digests(corpus)
+    assert digests.keys() == golden.keys()
+    changed = sorted(k for k in golden if digests[k] != golden[k])
+    assert not changed, changed
+
+
+def case_table_digests(corpus) -> dict:
+    """sha256 per problem over its verdict's case table: the case, regularity
+    and exactness ids, then per branch, inner then outer, its name, condition,
+    evidence key, M (shape and bytes), w_rows, sign constraints (c and sense)
+    and rhs(x', w') at x' = (1, ..., n)/8 and w' = -(1, ..., d)/4."""
+    out = {}
+    for e in corpus:
+        table = verdict(e.spec, e.point).table
+        xprime = np.arange(1, e.spec.n + 1) / 8
+        wprime = -np.arange(1, e.spec.d + 1) / 4
+        h = hashlib.sha256(repr((table.case, table.regularity, table.exactness)).encode())
+        for br in (table.inner, *table.outer):
+            h.update(repr((br.name, br.condition, br.evidence_key, br.M.shape, br.w_rows)).encode())
+            h.update(br.M.tobytes())
+            h.update(repr([(c.c, c.sense) for c in br.constraints]).encode())
+            h.update(br.rhs(xprime, wprime).tobytes())
+        out[e.name] = h.hexdigest()
+    return out
+
+
+def test_case_tables_match_golden(corpus):
+    golden = json.loads(CASE_TABLES_GOLDEN.read_text())
+    digests = case_table_digests(corpus)
     assert digests.keys() == golden.keys()
     changed = sorted(k for k in golden if digests[k] != golden[k])
     assert not changed, changed

@@ -33,7 +33,7 @@ TOL = ToleranceConfig()
 
 def _candidates(v):
     """Nonzero w' with z = ±k solving the inner branch's equations at x' = 0."""
-    branch = v.table.inner[0]
+    branch = v.table.inner
     K = null_space(branch.M[: -branch.w_rows], TOL).basis
     W = branch.M[-branch.w_rows :]
     out = []

@@ -1,6 +1,12 @@
+import math
+from dataclasses import fields
+
 import pytest
 
+from aubincheck.calculus import ToleranceConfig
+from aubincheck.cli import _PROBE_FLAGS, _load, build_parser
 from aubincheck.errors import InputError
+from aubincheck.oracle import GridSpec, ProbeConfig
 from aubincheck.problemfile import load_problem
 from conftest import fixture_path
 
@@ -28,7 +34,7 @@ class TestLoadProblem:
 
     def test_cli_override_wins(self, tmp_path):
         path = _write(tmp_path, BASE + "\n[tolerances]\ntau_rank = 1e-7\n")
-        pf = load_problem(path, {"tau_rank": 1e-6})
+        pf = load_problem(path, {"tolerances": {"tau_rank": "1e-6"}})
         assert pf.tolerances.tau_rank == 1e-6
 
     def test_probe_section_split(self, tmp_path):
@@ -93,7 +99,7 @@ class TestLoadProblem:
         with pytest.raises(InputError, match="at most 64 radius levels"):
             load_problem(_write(tmp_path, BASE + "\n[probe]\nlevels = 100000\n"))
         with pytest.raises(InputError, match="at most 64 radius levels"):
-            load_problem(_write(tmp_path, BASE), None, {"levels": 65})
+            load_problem(_write(tmp_path, BASE), {"probe": {"levels": "65"}})
 
     def test_negative_tolerance_rejected(self, tmp_path):
         with pytest.raises(InputError):
@@ -110,9 +116,72 @@ class TestLoadProblem:
         body = BASE.replace('F = "x1 - 1"', 'F = "x1 - 1"\nnote = "a = b: [c]"')
         assert load_problem(_write(tmp_path, body)).note == "a = b: [c]"
 
+    def test_ascii_reals_load_exactly(self, tmp_path):
+        body = BASE.replace("n = 1", "n = 4").replace("x = [0]", "x = [-0.0, +1., .5, 1E-3]")
+        x = load_problem(_write(tmp_path, body)).point.x
+        assert x == (-0.0, 1.0, 0.5, 1e-3) and math.copysign(1.0, x[0]) == -1.0
+
     def test_fixture_files_all_load(self):
         from conftest import FIXTURE_NAMES
 
         for name in FIXTURE_NAMES:
             pf = load_problem(fixture_path(name))
             assert pf.spec.n >= 1
+
+
+TOL_KEYS = {f.name for f in fields(ToleranceConfig)}
+PROBE_KEYS = {f.name for f in fields(GridSpec)} | {f.name for f in fields(ProbeConfig)}
+
+
+def _settings(load):
+    """(tolerances, grid, probe) of a load, or the message of its InputError."""
+    try:
+        pf = load()
+    except InputError as exc:
+        return str(exc)
+    return pf.tolerances, pf.grid, pf.probe
+
+
+class TestCommandLineSettings:
+    """The command line's settings are read as the file's values."""
+
+    # each unlike its default
+    PROBE_TEXT = {
+        "r_x": "0.25", "points_per_axis": "11", "delta0": "0.05", "samples": "16", "seed": "-3", "levels": "3",
+    }
+
+    def _compare(self, tmp_path, section, key, text, argv):
+        from_file = _settings(lambda: load_problem(_write(tmp_path, BASE + f"\n[{section}]\n{key} = {text}\n")))
+        path = _write(tmp_path, BASE)
+        from_cli = _settings(lambda: _load(build_parser("probe").parse_args(["probe", path, *argv])))
+        assert from_file == from_cli, (key, text)
+        return from_file
+
+    def test_tolerances(self, tmp_path):
+        for key in sorted(TOL_KEYS):
+            for text in ("2.5e-6", "abc", "nan"):
+                got = self._compare(tmp_path, "tolerances", key, text, ["--tol-overrides", f"{key}={text}"])
+                assert isinstance(got, str) == (text != "2.5e-6"), (key, text, got)
+        got = self._compare(tmp_path, "tolerances", "bogus", "1", ["--tol-overrides", "bogus=1"])
+        assert got == "unknown key 'bogus' in section [tolerances]"
+
+    def test_probe_flags(self, tmp_path):
+        for flag, key in _PROBE_FLAGS:
+            argv = [f"--{flag.replace('_', '-')}", self.PROBE_TEXT[key]]
+            assert not isinstance(self._compare(tmp_path, "probe", key, self.PROBE_TEXT[key], argv), str)
+            if key in ("r_x", "delta0"):  # argparse's float takes nan, its int does not
+                got = self._compare(tmp_path, "probe", key, "nan", [argv[0], "nan"])
+                assert got.startswith(f"could not parse {key!r}"), got
+
+    def test_keys_are_config_fields(self, tmp_path):
+        # Every probe flag sets a config field, and each section allows
+        # exactly its configs' fields: a bad value fails on the number, the
+        # other section's fields and a bogus key on the key.
+        assert {key for _, key in _PROBE_FLAGS} <= PROBE_KEYS
+        for section, keys, others in (("tolerances", TOL_KEYS, PROBE_KEYS), ("probe", PROBE_KEYS, TOL_KEYS)):
+            for key in sorted(keys):
+                with pytest.raises(InputError, match=f"could not parse {key!r}"):
+                    load_problem(_write(tmp_path, BASE + f"\n[{section}]\n{key} = ?\n"))
+            for key in sorted(others | {"bogus"}):
+                with pytest.raises(InputError, match=f"unknown key {key!r} in section \\[{section}\\]"):
+                    load_problem(_write(tmp_path, BASE + f"\n[{section}]\n{key} = 1\n"))
