@@ -25,7 +25,7 @@ from .calculus import derivative_bundle, finite_difference_audit
 from .conditions import MODE_EXTENDED, MODE_STRICT, coderivative_membership, verdict
 from .errors import DomainError, GridTooCoarse, InputError, PreconditionError
 from .oracle import aubin_probe, write_samples_csv
-from .problemfile import ProblemFile, _reals, load_problem
+from .problemfile import ProblemFile, _number, _reals, load_problem
 from .report import (
     analysis_document,
     derivatives_document,
@@ -52,8 +52,8 @@ _PROBE_FLAGS = (
 
 
 def _load(args) -> ProblemFile:
-    """The problem file with the command line's settings read as its values
-    (``str`` gives back argparse's ints and floats exactly)."""
+    """The problem file with the command line's settings, as text, read as
+    its values."""
     tolerances = {}
     for item in getattr(args, "tol_overrides", None) or ():
         if "=" not in item:
@@ -61,7 +61,7 @@ def _load(args) -> ProblemFile:
         key, value = item.split("=", 1)
         tolerances[key.strip()] = value
     probe = {
-        key: str(getattr(args, flag))
+        key: getattr(args, flag)
         for flag, key in _PROBE_FLAGS
         if getattr(args, flag, None) is not None
     }
@@ -129,10 +129,9 @@ def cmd_probe(args) -> int:
 
 def cmd_derivatives(args) -> int:
     pf = _load(args)
+    h = None if args.fd_audit is None else _number(args.fd_audit, "fd_audit")
     bundle = derivative_bundle(pf.spec, pf.point)
-    audit = None
-    if args.fd_audit is not None:
-        audit = finite_difference_audit(pf.spec, pf.point, bundle, args.fd_audit)
+    audit = None if h is None else finite_difference_audit(pf.spec, pf.point, bundle, h)
     doc = derivatives_document(pf, bundle, audit)
     _emit(args, doc, render_derivatives_text)
     return EXIT_OK
@@ -165,19 +164,18 @@ def _membership_arguments(p) -> None:
 def _probe_arguments(p) -> None:
     _common_arguments(p, mode=False)
     p.add_argument("--csv", help="dump sampled stationary sets to this CSV file")
-    p.add_argument("--delta0", type=float, help="coarsest parameter radius")
-    p.add_argument("--samples", type=int, help="parameter draws per radius level")
-    p.add_argument("--seed", type=int, help="deterministic sampling seed")
-    p.add_argument("--levels", type=int, help="number of radius levels")
-    p.add_argument("--box-radius", type=float, help="stationary-set box radius around x")
-    p.add_argument("--grid-points", type=int, help="grid points per axis (odd)")
+    p.add_argument("--delta0", help="coarsest parameter radius")
+    p.add_argument("--samples", help="parameter draws per radius level")
+    p.add_argument("--seed", help="deterministic sampling seed")
+    p.add_argument("--levels", help="number of radius levels")
+    p.add_argument("--box-radius", help="stationary-set box radius around x")
+    p.add_argument("--grid-points", help="grid points per axis (odd)")
 
 
 def _derivatives_arguments(p) -> None:
     _common_arguments(p, mode=False)
     p.add_argument(
         "--fd-audit",
-        type=float,
         metavar="H",
         help="audit the bundle against central differences with step H",
     )

@@ -11,16 +11,18 @@ evidence for or against the Lipschitz-like property.  The probe is an
 evidence generator, not a decision procedure: its thresholds are heuristic
 and recorded in the report.
 
-The probe works a radius level at a time, and a level's sets, not one set,
-are the unit of work.  The grids of consecutive sets are scanned in one
-residual evaluation of at most 10 * _CHUNK_ROWS points, seeded on one
-(sets, m, ..., m) array, and deduplicated by one sort keyed by set; the
-Newton seeds of all the sets are refined as one stream per branch, each row
-at its own parameter.  Likewise the distance polish of all the level's
-(base, perturbed) pairs runs as one stream, and each set's points near the
-reference x and its grid-only distances are computed once per set.  Rows
-never interact, so the results are those of sampling and polishing one set
-or pair at a time.
+A probe's sets, not a level's or one set, are the unit of work.  Every
+level's draws and pairs depend only on the configuration, the reference w
+and the seed, so the probe lays them all out first and then runs one
+sampling stream and one polish stream.  The grids of consecutive sets are
+scanned in one residual evaluation of at most _BLOCK_POINTS points, seeded
+on one (sets, m, ..., m) array, and deduplicated by one sort keyed by set;
+the Newton seeds of all the probe's sets are refined as one stream per
+branch, each row at its own parameter.  Likewise the distance polish of all
+the probe's (base, perturbed) pairs, every level's, runs as one stream, and
+each set's points near the reference x and its grid-only distances are
+computed once per set.  Rows never interact, so the results are those of
+sampling and polishing one set or pair at a time.
 
 The refiner does only work that can change a result.  Its line search
 evaluates the full step for every row and, for the rows it does not
@@ -261,13 +263,25 @@ def kkt_residual(spec: ProblemSpec, x, w, tol: ToleranceConfig = ToleranceConfig
 # ---------------------------------------------------------------------------
 
 # Most distinct active rows of the Newton refiner, and so in one step
-# batch.  The probe refines the seeds of a radius level's stationary sets,
-# and polishes its pairs, as one stream each; the bound keeps the working
-# memory in check, and since every row follows its own iterations it cannot
-# change a result.  On a 2-CPU VM (Python 3.11, numpy 2.4), 1024 rows ran the
-# eight fixture probes 8-17% faster than 512 but raised the process's peak
-# RSS by 0.5-0.6 MiB more (traced peak 1.5 against 1.1 MiB).
-_CHUNK_ROWS = 512
+# batch.  The probe refines the seeds of all its stationary sets, and
+# polishes all its pairs, as one stream each; every row follows its own
+# iterations, so the bound cannot change a result.  Each step batch has a
+# fixed numpy overhead, so fewer, fuller batches are faster: on a 2-CPU VM
+# (Python 3.11, numpy 2.4), the eight fixture probes took a median of 461 ms
+# in process at 1024 rows, 532 ms at 512, and 597 ms at 512 with one stream
+# per radius level (7 alternating rounds of 5 runs each).  With one stream
+# per probe, the traced peak is set by the stream's per-row state and not by
+# this bound: 2.84-2.85 MiB for the costliest fixture probe (n = 2) at
+# both 512 and 1024 rows.
+_CHUNK_ROWS = 1024
+
+# Most points of one grid-scan residual evaluation, and most (row, point)
+# differences of one block of grid-only distances.  In the same rounds a
+# 10240-point block ran the eight probes faster in 6 of 7 (median 439
+# against 461 ms) but raised the traced peak of the n = 2 fixture probe that
+# refines no Newton row from 1.10 to 1.54 MiB, so 5120 stays until the
+# benchmark weighs the two.
+_BLOCK_POINTS = 5120
 
 # A Newton Jacobian J (m x m) is solved by its adjugate when |det J| >
 # _DET_TAU * ||J||_F^m, which implies sigma_min / sigma_max > _DET_TAU.  That is
@@ -671,8 +685,8 @@ def _scan_grids(derivs: ProblemDerivatives, Ws: np.ndarray, seeded: np.ndarray, 
     seeds, seed_direct).
 
     The grids of consecutive sets share one _kkt_batch call of at most
-    10 * _CHUNK_ROWS points, the line search's largest batch, or of one grid
-    where a grid alone is larger; the working memory stays that of one call.
+    _BLOCK_POINTS points, or of one grid where a grid alone is larger; the
+    working memory stays that of one call.
     ``direct`` holds the grid points accepted as they are, as (set, points,
     residuals, lambdas, boundary).  The seeds (N, n) are, per set in
     ``seeded``, the local minima of its residual grid and their axis
@@ -683,7 +697,7 @@ def _scan_grids(derivs: ProblemDerivatives, Ws: np.ndarray, seeded: np.ndarray, 
     m = grid.resolve_points(n)
     X = _build_grid(center, grid, n)
     size = X.shape[1]
-    per = max(1, 10 * _CHUNK_ROWS // size)
+    per = max(1, _BLOCK_POINTS // size)
     hits, picks = [], []  # per chunk: (set, grid index, residual[, lambda, boundary])
     for s in range(0, Ws.shape[1], per):
         k = min(per, Ws.shape[1] - s)
@@ -838,14 +852,14 @@ def _set_distances(queries: list, polisher: _Refiner) -> list:
     cut = np.cumsum([0] + counts)
     W = np.repeat(np.array([t.w for _, t in queries]).T, counts, axis=1)
     # Grid-only distances, once per target set over all its queries' rows, in
-    # blocks of at most 10 * _CHUNK_ROWS (row, point) differences.
+    # blocks of at most _BLOCK_POINTS (row, point) differences.
     dists = np.empty(xps.shape[0])
     by_target: dict = {}
     for j, (_, t) in enumerate(queries):
         by_target.setdefault(id(t), (t, []))[1].append(np.arange(cut[j], cut[j + 1]))
     for t, parts in by_target.values():
         rows = np.concatenate(parts)
-        step = max(1, 10 * _CHUNK_ROWS // t.points.shape[0])
+        step = max(1, _BLOCK_POINTS // t.points.shape[0])
         for s in range(0, rows.size, step):
             r = rows[s : s + step]
             dists[r] = np.min(np.linalg.norm(xps[r, None, :] - t.points[None, :, :], axis=2), axis=1)
@@ -872,7 +886,8 @@ def aubin_probe(
 
         max over x' in S(perturbed) near x of d(x', S(base)) / ||perturbed - base||
 
-    is recorded.  See ``_flag`` for the flag semantics.
+    is recorded.  All levels' sets are sampled in one stream, and all their
+    pairs polished in another.  See ``_flag`` for the flag semantics.
     """
     if spec.n > 2 or spec.d > 2:
         raise DimensionMismatch("the probe supports n <= 2 and d <= 2")
@@ -884,41 +899,43 @@ def aubin_probe(
     polish_grid = dataclasses.replace(grid, newton_cap=min(grid.newton_cap, 10))
     polisher = _Refiner(derivs, polish_grid, tol, x_center)
 
-    # Parameter key -> (SampleSet, its points within rho_u of x), in sampling order.
-    sampled: dict = {}
-    # Whether every draw so far rounds to w_bar, so that no pair can be measured.
-    unresolved = True
-    levels: list[LevelStats] = []
-
+    # Every level's draws, keys and pairs depend only on cfg, w_bar and the
+    # seed.  Pairs index a level's pts, its draws and then w_bar.
+    plan = []  # per level: (delta, pts, keys, pairs)
     for k in range(cfg.levels):
         delta = cfg.delta0 * 2.0 ** (-k)
         radii = _relative_radii(k, cfg.samples)
         dirs = _directions(spec.d, len(radii), cfg.seed + k)
-        # Pairs index pts, the draws and then w_bar.
         pts = [w_bar + delta * r * u for r, u in zip(radii, dirs)] + [w_bar]
-        keys = [tuple(float(v) for v in wv) for wv in pts]
         bar = len(pts) - 1
-
-        # The level's new sets, sampled together: the first draw, w_bar, the rest.
-        new: dict = {}
-        for i in [0, bar] + list(range(1, bar)):
-            if keys[i] not in sampled:
-                new.setdefault(keys[i], pts[i])
-        if new:
-            for kw, S in zip(new, _sample_sets(derivs, list(new.values()), x_center, grid, tol)):
-                sampled[kw] = (S, S.points[np.linalg.norm(S.points - x_center[None, :], axis=1) <= rho_u])
-        unresolved = unresolved and all(kw == keys[bar] for kw in keys)
-
         pairs = []
         for i in range(bar):
             pairs += [(bar, i), (i, bar)]
         for i in range(0, bar - 1, 4):
             pairs += [(i, i + 1), (i + 1, i)]
+        plan.append((delta, pts, [tuple(float(v) for v in wv) for wv in pts], pairs))
 
-        # A pair whose perturbed set has points near x is an empty-value event
-        # when its base set is empty, and a ratio pair otherwise; all the
-        # level's ratio pairs are polished together.
-        events, ratio_pairs, queries = [], [], []
+    # Every level's new sets, sampled together in level order: per level the
+    # first draw, w_bar, then the rest.  Parameter key -> (SampleSet, its
+    # points within rho_u of x), in sampling order.
+    new: dict = {}
+    for _, pts, keys, _ in plan:
+        bar = len(pts) - 1
+        for i in [0, bar] + list(range(1, bar)):
+            new.setdefault(keys[i], pts[i])
+    sampled = {
+        kw: (S, S.points[np.linalg.norm(S.points - x_center[None, :], axis=1) <= rho_u])
+        for kw, S in zip(new, _sample_sets(derivs, list(new.values()), x_center, grid, tol))
+    }
+    # Whether every draw rounds to w_bar, so that no pair can be measured.
+    unresolved = len(new) == 1
+
+    # A pair whose perturbed set has points near x is an empty-value event
+    # when its base set is empty, and a ratio pair otherwise; the ratio pairs
+    # of every level are polished together.
+    measured, queries = [], []  # per level: (events, ratio pairs)
+    for _, pts, keys, pairs in plan:
+        events, ratio_pairs = [], []
         for base, pert in pairs:
             dist_w = float(np.linalg.norm(pts[pert] - pts[base]))
             near = sampled[keys[pert]][1]
@@ -930,9 +947,14 @@ def aubin_probe(
             else:
                 ratio_pairs.append((base, pert, dist_w, near))
                 queries.append((near, S_base))
+        measured.append((events, ratio_pairs))
+    polished = iter(_set_distances(queries, polisher))
 
+    levels: list[LevelStats] = []
+    for k, ((delta, pts, _, pairs), (events, ratio_pairs)) in enumerate(zip(plan, measured)):
         peaks = []  # (ratio, base, pert, x', distance) at each ratio pair's worst x'
-        for (base, pert, dist_w, near), dists in zip(ratio_pairs, _set_distances(queries, polisher)):
+        for base, pert, dist_w, near in ratio_pairs:
+            dists = next(polished)
             ratios = dists / dist_w
             i_max = int(np.argmax(ratios))
             peaks.append((float(ratios[i_max]), base, pert, near[i_max], float(dists[i_max])))

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -12,7 +13,8 @@ import pytest
 
 from aubincheck import __version__
 from aubincheck.calculus import BLOCKS, ProblemDerivatives
-from aubincheck.cli import COMMANDS, build_parser, main
+from aubincheck.cli import COMMANDS, _load, build_parser, main
+from aubincheck.problemfile import load_problem
 from conftest import FIXTURE_NAMES, PROBEABLE, fixture_path, golden_queries
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
@@ -408,6 +410,31 @@ class TestInputChecks:
         p.write_text(text)
         code, out = run_cli(["analyze", str(p), *argv])
         self._assert_one_error_line(code, out, capsys.readouterr().err, "error: InputError:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["probe", "{fixture}", "--seed", "\u0663"],
+            ["probe", "{fixture}", "--delta0", "\uff10.05"],
+            ["probe", "{fixture}", "--samples", "1_6"],
+            ["probe", "{fixture}", "--samples", "1.5"],
+            ["derivatives", "{fixture}", "--fd-audit", "1e-\u0665"],
+        ],
+        ids=["seed", "delta0", "samples-underscore", "samples-real", "fd-audit"],
+    )
+    def test_flags_take_ascii_decimals_only(self, argv, capsys):
+        # The flags reach load_problem's number reader as text, not through
+        # argparse's int() and float().
+        code, out = run_cli([arg.format(fixture=fixture_path("halfline_quadratic")) for arg in argv])
+        self._assert_one_error_line(code, out, capsys.readouterr().err, "error: InputError: could not parse")
+
+    def test_flags_load_as_file_values(self):
+        args = build_parser("probe").parse_args(
+            ["probe", fixture_path("halfline_quadratic"), "--samples", "16", "--delta0", "0.05"]
+        )
+        pf = _load(args)
+        assert pf.probe == dataclasses.replace(load_problem(args.file).probe, samples=16, delta0=0.05)
+        assert (type(pf.probe.samples), type(pf.probe.delta0)) == (int, float)
 
     def test_query_takes_ascii_decimals_only(self, capsys):
         argv = ["membership", fixture_path("circle_boundary"), "--xprime=\u0662", "--wprime=1"]

@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -230,15 +231,17 @@ class TestBatchedSampling:
 
     def test_scan_chunks_equal_each_set(self, problems, monkeypatch):
         # 61 parameters of an n = 1 fixture, whose grids have 201 points, take
-        # three scan calls of at most 25 grids.  Among them are sets with
-        # points, sets with both branches certified empty, and sets with no
-        # points where only one branch is certified empty.
+        # three scan calls of at most _BLOCK_POINTS // 201 = 25 grids.  Among
+        # them are sets with points, sets with both branches certified empty,
+        # and sets with no points where only one branch is certified empty.
         pf = problems["circle_boundary"]
         ws = [[1.0 + 0.05 * k] for k in range(-30, 31)]
         widths = record_scan_widths(monkeypatch)
         sets = self._check(pf, ws)
+        per = oracle._BLOCK_POINTS // 201
+        assert per == 25
         # The refined points are checked in calls of at most _CHUNK_ROWS.
-        assert [w for w in widths if w > oracle._CHUNK_ROWS] == [25 * 201, 25 * 201, 11 * 201]
+        assert [w for w in widths if w > oracle._CHUNK_ROWS] == [per * 201, per * 201, (61 - 2 * per) * 201]
         assert any(s.certified_empty == ("interior", "boundary") for s in sets)
         assert any(s.is_empty and len(s.certified_empty) == 1 for s in sets)
         assert any(not s.is_empty for s in sets)
@@ -250,7 +253,7 @@ class TestBatchedSampling:
         # reaches in one Newton step (the system is linear).  Together the
         # refined rows span several Newton batches.
         pf = problems["halfline_bilinear"]
-        ws = [[0.05]] + [[0.01 * k] for k in range(-8, 17)]
+        ws = [[0.05]] + [[0.01 * k] for k in range(-16, 17)]
         sets = self._check(pf, ws)
         assert sets[0].is_empty
         log = record_newton_steps(monkeypatch, 1)
@@ -489,15 +492,146 @@ class TestAubinProbe:
                 ProbeConfig(seed=seed)
 
     def test_scan_calls_stay_chunk_bounded(self, problems, monkeypatch):
-        # The grid scan shares _kkt_batch calls between sets only up to the
-        # line search's largest batch, so the working memory stays bounded.
+        # The grid scan shares _kkt_batch calls between sets only up to
+        # _BLOCK_POINTS points, so the working memory stays bounded.
         widths = record_scan_widths(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GridTooCoarse)
             for name in ("circle_boundary", "moving_plane"):
                 pf = problems[name]
                 aubin_probe(pf.spec, pf.point, pf.probe, pf.grid, TOL)
-        assert max(widths) <= oracle._CHUNK_ROWS * 10
+        assert max(widths) <= oracle._BLOCK_POINTS
+
+
+def probe_by_level(spec, point, cfg, grid, tol):
+    """The Aubin probe as one stream per radius level: sample the level's new
+    sets, then polish the level's pairs.  ``aubin_probe`` must agree with it
+    on every report, sample and warning."""
+    derivs = problem_derivatives(spec)
+    x_center, w_bar = point.arrays()
+    rho_u = cfg.rho_u if cfg.rho_u is not None else grid.r_x / 2.0
+    polisher = oracle._Refiner(derivs, dataclasses.replace(grid, newton_cap=min(grid.newton_cap, 10)), tol, x_center)
+    sampled, unresolved, levels = {}, True, []
+    for k in range(cfg.levels):
+        delta = cfg.delta0 * 2.0 ** (-k)
+        radii = oracle._relative_radii(k, cfg.samples)
+        dirs = oracle._directions(spec.d, len(radii), cfg.seed + k)
+        pts = [w_bar + delta * r * u for r, u in zip(radii, dirs)] + [w_bar]
+        keys = [tuple(float(v) for v in wv) for wv in pts]
+        bar = len(pts) - 1
+        new = {}
+        for i in [0, bar] + list(range(1, bar)):
+            if keys[i] not in sampled:
+                new.setdefault(keys[i], pts[i])
+        if new:
+            for kw, S in zip(new, oracle._sample_sets(derivs, list(new.values()), x_center, grid, tol)):
+                sampled[kw] = (S, S.points[np.linalg.norm(S.points - x_center[None, :], axis=1) <= rho_u])
+        unresolved = unresolved and all(kw == keys[bar] for kw in keys)
+        pairs = [p for i in range(bar) for p in ((bar, i), (i, bar))]
+        pairs += [p for i in range(0, bar - 1, 4) for p in ((i, i + 1), (i + 1, i))]
+        events, ratio_pairs, queries = [], [], []
+        for base, pert in pairs:
+            dist_w = float(np.linalg.norm(pts[pert] - pts[base]))
+            near = sampled[keys[pert]][1]
+            if dist_w == 0.0 or near.shape[0] == 0:
+                continue
+            S_base = sampled[keys[base]][0]
+            if S_base.is_empty:
+                events.append((base, pert))
+            else:
+                ratio_pairs.append((base, pert, dist_w, near))
+                queries.append((near, S_base))
+        peaks = []
+        for (base, pert, dist_w, near), dists in zip(ratio_pairs, oracle._set_distances(queries, polisher)):
+            ratios = dists / dist_w
+            i_max = int(np.argmax(ratios))
+            peaks.append((float(ratios[i_max]), base, pert, near[i_max], float(dists[i_max])))
+        if k == 0:
+            significant = [p[0] for p in peaks if p[0] > cfg.ratio_floor]
+            baseline = float(np.median(significant)) if significant else None
+        worst, worst_pair = None, None
+        if peaks:
+            worst, base, pert, x_point, distance = max(peaks, key=lambda p: p[0])
+            worst_pair = {
+                "w_base": [float(v) for v in pts[base]],
+                "w_perturbed": [float(v) for v in pts[pert]],
+                "x_point": [float(v) for v in x_point],
+                "distance": distance,
+                "ratio": worst,
+            }
+        elif events:
+            base, pert = events[0]
+            worst_pair = {
+                "w_base": [float(v) for v in pts[base]],
+                "w_perturbed": [float(v) for v in pts[pert]],
+                "event": "empty_base_set",
+                "ratio": None,
+            }
+        levels.append(oracle.LevelStats(delta, len(pairs), len(peaks), worst, len(events), worst_pair))
+    flag, reason = oracle._flag(levels, baseline, cfg, unresolved)
+    sets = [S for S, _ in sampled.values()]
+    return oracle.ProbeReport(
+        flag, reason, levels, baseline, cfg.seed, cfg.delta0, rho_u, cfg.growth, cfg.blowup, cfg.ratio_floor,
+        tuple(dict.fromkeys(msg for S in sets for msg in S.warnings)), sets,
+    )
+
+
+class TestOneStreamProbe:
+    """One probe samples all its sets in one stream and polishes all its
+    pairs in another; the result is that of a stream per radius level."""
+
+    @pytest.mark.parametrize("samples", [8, 20])
+    @pytest.mark.parametrize("levels", [2, 5])
+    @pytest.mark.parametrize("name", ["circle_boundary", "quartic_cuberoot", "moving_plane"])
+    def test_equals_probe_by_level(self, problems, monkeypatch, name, levels, samples):
+        pf = problems[name]
+        cfg = dataclasses.replace(pf.probe, levels=levels, samples=samples)
+        calls = {"_sample_sets": 0, "_set_distances": 0}
+
+        def counting(fn_name):
+            fn = getattr(oracle, fn_name)
+
+            def wrapper(*args):
+                calls[fn_name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for fn_name in calls:
+            monkeypatch.setattr(oracle, fn_name, counting(fn_name))
+        with warnings.catch_warnings(record=True) as got_warned:
+            warnings.simplefilter("always")
+            got = aubin_probe(pf.spec, pf.point, cfg, pf.grid, pf.tolerances, keep_samples=True)
+        assert calls == {"_sample_sets": 1, "_set_distances": 1}
+        with warnings.catch_warnings(record=True) as ref_warned:
+            warnings.simplefilter("always")
+            ref = probe_by_level(pf.spec, pf.point, cfg, pf.grid, pf.tolerances)
+
+        assert got.to_dict() == ref.to_dict()
+        assert [(w.category, str(w.message)) for w in got_warned] == [(w.category, str(w.message)) for w in ref_warned]
+        assert len(got.samples) == len(ref.samples)
+        for a, b in zip(got.samples, ref.samples):
+            assert a.w == b.w
+            assert np.array_equal(a.points, b.points)
+            assert np.array_equal(a.residuals, b.residuals)
+            assert np.array_equal(a.lambdas, b.lambdas)
+            assert a.branches == b.branches
+            assert a.warnings == b.warnings
+
+    def test_stream_memory(self, problems):
+        # The stream holds its per-row state and no more.  After a warm-up
+        # probe, moving_plane at 4 levels of 32 samples peaked at 1.62 MiB
+        # traced on a 2-CPU VM (Python 3.11, numpy 2.4), against 0.76 MiB
+        # with one stream per radius level; the ceiling is 1.5 times that.
+        pf = problems["moving_plane"]
+        aubin_probe(pf.spec, pf.point, dataclasses.replace(pf.probe, levels=2, samples=8), pf.grid, pf.tolerances)
+        tracemalloc.start()
+        try:
+            aubin_probe(pf.spec, pf.point, dataclasses.replace(pf.probe, levels=4, samples=32), pf.grid, pf.tolerances)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.45 * 2**20
 
 
 class TestMergeKeys:
