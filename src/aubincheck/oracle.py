@@ -14,40 +14,20 @@ and recorded in the report.
 A probe's sets, not a level's or one set, are the unit of work.  Every
 level's draws and pairs depend only on the configuration, the reference w
 and the seed, so the probe lays them all out first and then runs one
-sampling stream and one polish stream.  The grids of consecutive sets are
-scanned in one residual evaluation of at most _BLOCK_POINTS points, seeded
-on one (sets, m, ..., m) array, and deduplicated by one sort keyed by set;
-the Newton seeds of all the probe's sets are refined as one stream per
-branch, each row at its own parameter.  Likewise the distance polish of all
-the probe's (base, perturbed) pairs, every level's, runs as one stream, and
-each set's points near the reference x and its grid-only distances are
-computed once per set.  Rows never interact, so the results are those of
-sampling and polishing one set or pair at a time.
+sampling stream (``_sample_sets``) and one polish stream
+(``_set_distances``).  Rows never interact, so the results are those of
+sampling and polishing one set or pair at a time.  The refiner does only
+work that can change a result: a two-evaluation line search
+(``_Refiner._line_search``), merged rows (``_Refiner.run``) and branches
+certified empty over the acceptance box (``_empty_branches``) leave the
+report unchanged, except that a set whose two branches are both certified
+empty reports no diverged seeds.
 
-The refiner does only work that can change a result.  Its line search
-evaluates the full step for every row and, for the rows it does not
-improve enough, all ten halvings in one batch; each row keeps the halving
-a one-at-a-time backtracking loop would stop at.  Each row's residual is
-carried from the evaluation that accepted its iterate.  Rows that reach
-the same iterate at the same parameter after the same number of steps are
-merged, and one Newton step serves them all (see ``_Refiner.run``); a
-64-bit checksum of each row skips the exact merge test, a sort, at the
-steps where no two rows can be equal.  And once per sampled parameter,
-each branch system is enclosed by interval arithmetic over the acceptance
-box (see ``_empty_branches``); where an equation's enclosure excludes
-the convergence bar, ACCEPT_RESIDUAL, no row at that parameter can be
-accepted on that branch, so those rows are not refined, in set sampling
-and in the distance polish alike.  The report is
-unchanged by all four, except that a set whose two branches are both
-certified empty reports no diverged seeds.
-
-One rule, in ``_accepted``, decides which refined points are stationary,
-for set sampling and the distance polish alike: a converged row counts when
-its first-order residual is at most ACCEPT_RESIDUAL, it lies within r_x
-plus one grid spacing of the centre, and on the boundary branch
-lam >= -tau_zero.  The residual evaluation that accepts a point also labels
-its branch.  A set's points are deduplicated in half-spacing cells, each
-keeping its smallest-residual point.
+Which points are stationary is decided by one rule, ``_stationary``, for
+grid points, refined points and the distance polish alike, and the
+empty-branch certificate encloses that rule.  The residual evaluation that
+accepts a point also labels its branch.  A set's points are deduplicated
+in half-spacing cells, each keeping its smallest-residual point.
 """
 
 from __future__ import annotations
@@ -69,7 +49,7 @@ from .calculus import (
     _finite_positive,
     problem_derivatives,
 )
-from .errors import DimensionMismatch, GridTooCoarse, InputError
+from .errors import DimensionMismatch, DomainError, GridTooCoarse, InputError
 from .expr import ProblemSpec, eval_interval
 
 __all__ = [
@@ -85,8 +65,8 @@ __all__ = [
     "ACCEPT_RESIDUAL",
 ]
 
-# A grid/Newton point counts as stationary when its first-order residual is
-# below this bar (absolute; the problems are desk-scale).
+# The residual bar of the acceptance rule, ``_stationary`` (absolute; the
+# problems are desk-scale).
 ACCEPT_RESIDUAL = 1e-9
 
 _BRANCHES = ("interior", "boundary")
@@ -243,19 +223,69 @@ def _kkt_batch(derivs: ProblemDerivatives, X: np.ndarray, W: np.ndarray, tol: To
     return res, lam, boundary
 
 
+def _point_arrays(spec: ProblemSpec, x, w) -> tuple:
+    """x and w as float vectors; raises DimensionMismatch unless they hold
+    spec.n and spec.d numbers, and DomainError unless every one is finite."""
+    x, w = np.asarray(x, dtype=float), np.asarray(w, dtype=float)
+    if x.ndim != 1 or w.ndim != 1:
+        raise DimensionMismatch(f"point has shapes {x.shape} and {w.shape}, expected vectors")
+    _check_dims(spec, x, w)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
+        raise DomainError("the point has a non-finite entry")
+    return x, w
+
+
 def kkt_residual(spec: ProblemSpec, x, w, tol: ToleranceConfig = ToleranceConfig()) -> float:
     """First-order residual of the stationarity system at (x, w).
 
     +inf encodes infeasibility (F > 0), out-of-domain evaluations and
     boundary points with ||grad_x F||^2 <= tau_zero^2, where the multiplier
     is undefined; at any other boundary point the residual minimizes
-    ||grad f0 + lam grad F|| over lam >= 0 in closed form.
+    ||grad f0 + lam grad F|| over lam >= 0 in closed form.  A point that is
+    not a pair of finite vectors of the problem's sizes raises
+    DimensionMismatch or DomainError, here and in the probe.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    w = np.asarray(w, dtype=float).reshape(-1)
-    _check_dims(spec, x, w)
+    x, w = _point_arrays(spec, x, w)
     res, _, _ = _kkt_batch(problem_derivatives(spec), x[:, None], w[:, None], tol)
     return float(res[0])
+
+
+# ---------------------------------------------------------------------------
+# The acceptance rule
+# ---------------------------------------------------------------------------
+
+def _acceptance_box(center: np.ndarray, grid: GridSpec, tol: ToleranceConfig) -> tuple:
+    """The box and bar of ``_stationary``: (centre, reach, bar, lam_floor)."""
+    return center, grid.r_x + grid.spacing(center.shape[0]), ACCEPT_RESIDUAL, -tol.tau_zero
+
+
+def _stationary(res: np.ndarray, pts: np.ndarray, lams: np.ndarray, box: tuple) -> np.ndarray:
+    """Which points count as stationary: the probe's model of S(w).
+
+    A point of pts (N, n), with multiplier lams (0 in the interior) and
+    residual res, is accepted when res <= bar = ACCEPT_RESIDUAL, every
+    coordinate lies within reach = r_x plus one grid spacing of the centre,
+    and lam >= lam_floor = -tau_zero; each bound is inclusive, and a nan
+    residual fails.  ``box`` comes from ``_acceptance_box``.
+
+    Each point passes the rule on two residuals: a refined row on its
+    Newton residual ||G|| and then on its first-order residual
+    (``_accepted``); a grid point on its first-order residual and, when
+    labelled boundary, on |F| (``_scan_grids``).  Either way every equation
+    of the branch system the point solves is at most bar in size at a
+    point of the box, which is what ``_empty_branches`` encloses.
+    """
+    center, reach, bar, lam_floor = box
+    ok = res <= bar
+    on = np.flatnonzero(ok)  # a scan's few hits: the box test runs on them alone
+    ok[on] = (np.max(np.abs(pts[on] - center), axis=1) <= reach) & (lams[on] >= lam_floor)
+    return ok
+
+
+def _lambda_label(lams: np.ndarray, boundary: np.ndarray) -> np.ndarray:
+    """The multiplier an accepted point reports: max(lam, 0) on the
+    boundary and 0 in the interior."""
+    return np.where(boundary, np.maximum(0.0, lams), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +459,7 @@ class _Refiner:
 
     def run(self, seeds: np.ndarray, W: np.ndarray, branch: str, rows: np.ndarray):
         """Refine the seeds (N, n) in ``rows`` at their parameters W (d, N);
-        returns (points, lambdas, converged_mask) of those rows, in order.
+        returns (points, lambdas, ||G||) of those rows, in order.
 
         The state is kept in place, one entry per output position: iterate
         Z, G and its norm at the iterate (carried from the evaluation that
@@ -488,28 +518,25 @@ class _Refiner:
         for followers, leaders in reversed(merged):
             Z[followers], rnorm[followers] = Z[leaders], rnorm[leaders]
         lams = Z[:, n] if branch == "boundary" else np.zeros(rows.size)
-        return Z[:, :n], lams, rnorm <= ACCEPT_RESIDUAL
+        return Z[:, :n], lams, rnorm
 
 
 def _empty_branches(derivs: ProblemDerivatives, W: np.ndarray, center: np.ndarray, grid: GridSpec, tol: ToleranceConfig) -> list:
-    """The branches certified to hold no acceptable root, per parameter: a
-    tuple of branch names for each column of W (d, K).
+    """The branches certified to hold no point ``_stationary`` accepts, per
+    parameter: a tuple of branch names for each column of W (d, K).
 
-    A row is accepted only if its branch system converged, each equation at
-    most bar = ACCEPT_RESIDUAL in size, at a point within r_x plus one grid
-    spacing of the centre, and on the boundary with lam >= -tau_zero.  Each
-    equation is enclosed over that box (lam as x_{n+1}); a branch is
-    certified empty at a parameter when some enclosure excludes [-bar, bar].
-    The enclosures hold the float values the refiner computes, and _ROUNDING
-    covers the norm and the box test.
+    Each equation of a branch system is enclosed over the rule's box (lam
+    as x_{n+1}); a branch is certified empty at a parameter when some
+    enclosure excludes [-bar, bar].  The enclosures hold the float values
+    the refiner computes, and _ROUNDING covers the norm and the box test.
     """
-    n = derivs.spec.n
-    reach = (grid.r_x + grid.spacing(n)) * (1.0 + _ROUNDING)
+    center, reach, bar, lam_floor = _acceptance_box(center, grid, tol)
+    reach *= 1.0 + _ROUNDING
     box = (
-        np.nextafter(np.append(center - reach, -tol.tau_zero), -np.inf)[:, None],
+        np.nextafter(np.append(center - reach, lam_floor), -np.inf)[:, None],
         np.nextafter(np.append(center + reach, np.inf), np.inf)[:, None],
     )
-    bar = ACCEPT_RESIDUAL * (1.0 + _ROUNDING)
+    bar *= 1.0 + _ROUNDING
     masks = []
     for branch in _BRANCHES:
         empty = np.zeros(W.shape[1], dtype=bool)
@@ -528,33 +555,28 @@ def _skip_masks(empty: list, counts) -> dict:
 
 def _accepted(refiner: _Refiner, seeds: np.ndarray, W: np.ndarray, skip: dict):
     """Refine seeds (N, n) at parameters W (d, N) on each branch and yield
-    the rows that count as stationary points; the rows in ``skip[branch]``
-    are not refined on that branch.
+    the rows that ``_stationary`` accepts, on their Newton residual and then
+    on their first-order residual; the rows in ``skip[branch]`` are not
+    refined on that branch.
 
-    A converged row is accepted when its first-order residual is at most
-    ACCEPT_RESIDUAL, it lies within r_x plus one grid spacing of the centre,
-    and, on the boundary branch, lam >= -tau_zero.  Yields, per branch,
-    (rows, points, residuals, lambdas, boundary) of the accepted rows.  The
-    residual evaluation that accepts a row also gives its boundary label;
-    lam is max(lam, 0) on the boundary and 0 in the interior.
+    Yields, per branch, (rows, points, residuals, lambdas, boundary) of the
+    accepted rows.  The residual evaluation that accepts a row also gives
+    its boundary label.
     """
-    grid, tol = refiner.grid, refiner.tol
-    reach = grid.r_x + grid.spacing(refiner.n)
+    box = _acceptance_box(refiner.center, refiner.grid, refiner.tol)
     for branch in _BRANCHES:
         live = np.flatnonzero(~skip[branch])
-        pts, lams, conv = refiner.run(seeds, W, branch, live)
-        rows = live[conv]
+        pts, lams, gnorm = refiner.run(seeds, W, branch, live)
+        ok = _stationary(gnorm, pts, lams, box)
+        rows, pts, lams = live[ok], pts[ok], lams[ok]
         if rows.size == 0:
             continue
-        pts, lams = pts[conv], lams[conv]
         res, bmask = np.empty(rows.size), np.empty(rows.size, dtype=bool)
         for s in range(0, rows.size, _CHUNK_ROWS):
             part = slice(s, s + _CHUNK_ROWS)
-            res[part], _, bmask[part] = _kkt_batch(refiner.derivs, pts[part].T, W[:, rows[part]], tol)
-        # Interior rows carry lam = 0, so the lam test binds on the boundary.
-        ok = (res <= ACCEPT_RESIDUAL) & (np.max(np.abs(pts - refiner.center), axis=1) <= reach) & (lams >= -tol.tau_zero)
-        lams = np.where(bmask, np.maximum(lams, 0.0), 0.0)
-        yield rows[ok], pts[ok], res[ok], lams[ok], bmask[ok]
+            res[part], _, bmask[part] = _kkt_batch(refiner.derivs, pts[part].T, W[:, rows[part]], refiner.tol)
+        ok = _stationary(res, pts, lams, box)
+        yield rows[ok], pts[ok], res[ok], _lambda_label(lams[ok], bmask[ok]), bmask[ok]
 
 
 # ---------------------------------------------------------------------------
@@ -606,43 +628,25 @@ def _with_neighbors(idx: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def sample_stationary_set(
-    spec: ProblemSpec,
-    w,
-    grid: GridSpec = GridSpec(),
-    tol: ToleranceConfig = ToleranceConfig(),
-    center=None,
+    spec: ProblemSpec, w, grid: GridSpec = GridSpec(), tol: ToleranceConfig = ToleranceConfig(), center=None
 ) -> SampleSet:
     """Stationary points of the problem at parameter ``w`` inside the box.
 
     The box has radius ``grid.r_x`` around ``center`` (the reference x, or
-    the origin when omitted).  Grid points that already meet the acceptance
-    residual are kept as-is (degenerate stationary manifolds stay fully
-    sampled); local minima of the residual field and their neighbors are
-    refined by damped Newton on both the interior and the boundary branch.
-    Accepted points satisfy the first-order residual bound, carry
-    lam >= -tau_zero on the boundary branch, and are deduplicated within
-    half a grid spacing.
+    the origin when omitted).  Grid points that ``_stationary`` accepts are
+    kept as-is (degenerate stationary manifolds stay fully sampled); local
+    minima of the residual field and their neighbors are refined by damped
+    Newton on both the interior and the boundary branch, and kept where the
+    rule accepts them.  The points are deduplicated within half a grid
+    spacing.  (center, w) is checked as a point, as in ``kkt_residual``.
     """
-    n = spec.n
-    if n > 2:
+    if spec.n > 2:
         raise DimensionMismatch("stationary set sampling supports n <= 2")
-    derivs = problem_derivatives(spec)
-    w = np.asarray(w, dtype=float)
-    if w.shape[0] != spec.d:
-        raise DimensionMismatch(f"parameter has {w.shape[0]} entries, expected {spec.d}")
-    center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
-    if center.shape[0] != n:
-        raise DimensionMismatch(f"center has {center.shape[0]} entries, expected {n}")
-    return _sample_sets(derivs, [w], center, grid, tol)[0]
+    center, w = _point_arrays(spec, np.zeros(spec.n) if center is None else center, w)
+    return _sample_sets(problem_derivatives(spec), [w], center, grid, tol)[0]
 
 
-def _sample_sets(
-    derivs: ProblemDerivatives,
-    ws: list,
-    center: np.ndarray,
-    grid: GridSpec,
-    tol: ToleranceConfig,
-) -> list:
+def _sample_sets(derivs: ProblemDerivatives, ws: list, center: np.ndarray, grid: GridSpec, tol: ToleranceConfig) -> list:
     """``sample_stationary_set`` for each parameter in ``ws``, sampled together.
 
     The grids are scanned and seeded a chunk of sets at a time (see
@@ -666,17 +670,11 @@ def _sample_sets(
         found.append((seed_set[rows], *parts))
 
     diverged = np.bincount(seed_set[~(produced | seed_direct)], minlength=len(ws))
-    warns = []
-    for j in range(len(ws)):
-        warn = ()
-        if diverged[j] > 0.1 * counts[j]:
-            msg = (
-                f"Newton refinement diverged for {diverged[j]}/{counts[j]} seeds; "
-                "the grid may be too coarse"
-            )
-            warn = (msg,)
-            _warnings.warn(msg, GridTooCoarse, stacklevel=3)
-        warns.append(warn)
+    warns = [()] * len(ws)
+    for j in np.flatnonzero(diverged > 0.1 * counts):
+        msg = f"Newton refinement diverged for {diverged[j]}/{counts[j]} seeds; the grid may be too coarse"
+        warns[j] = (msg,)
+        _warnings.warn(msg, GridTooCoarse, stacklevel=3)
     return _finish_sets(ws, found, center, grid, warns, empty)
 
 
@@ -687,9 +685,10 @@ def _scan_grids(derivs: ProblemDerivatives, Ws: np.ndarray, seeded: np.ndarray, 
     The grids of consecutive sets share one _kkt_batch call of at most
     _BLOCK_POINTS points, or of one grid where a grid alone is larger; the
     working memory stays that of one call.
-    ``direct`` holds the grid points accepted as they are, as (set, points,
-    residuals, lambdas, boundary).  The seeds (N, n) are, per set in
-    ``seeded``, the local minima of its residual grid and their axis
+    ``direct`` holds the grid points ``_stationary`` accepts, as (set,
+    points, residuals, lambdas, boundary): on the first-order residual and,
+    for boundary-labelled points, on |F| too.  The seeds (N, n) are, per set
+    in ``seeded``, the local minima of its residual grid and their axis
     neighbors, in set order; seed_set gives each seed's set and seed_direct
     marks the seeds accepted as they are.
     """
@@ -698,12 +697,20 @@ def _scan_grids(derivs: ProblemDerivatives, Ws: np.ndarray, seeded: np.ndarray, 
     X = _build_grid(center, grid, n)
     size = X.shape[1]
     per = max(1, _BLOCK_POINTS // size)
-    hits, picks = [], []  # per chunk: (set, grid index, residual[, lambda, boundary])
+    box = _acceptance_box(center, grid, tol)
+    hits, picks = [], []  # per chunk: (set, grid index, residual, lambda, boundary) and (set, grid index, direct)
     for s in range(0, Ws.shape[1], per):
         k = min(per, Ws.shape[1] - s)
-        res, lam, boundary = _kkt_batch(derivs, np.tile(X, k), np.repeat(Ws[:, s : s + k], size, axis=1), tol)
-        hit = np.flatnonzero(res <= ACCEPT_RESIDUAL)
-        hits.append((s + hit // size, hit % size, res[hit], np.where(boundary[hit], lam[hit], 0.0), boundary[hit]))
+        Xk, Wk = np.tile(X, k), np.repeat(Ws[:, s : s + k], size, axis=1)
+        res, lam, boundary = _kkt_batch(derivs, Xk, Wk, tol)
+        ok = _stationary(res, Xk.T, lam, box)
+        hit = np.flatnonzero(ok)
+        on = hit[boundary[hit]]
+        if on.size:
+            F = derivs.eval_rows(derivs.F_row, Xk[:, on], Wk[:, on])[0]
+            ok[on] = _stationary(np.abs(F), Xk[:, on].T, lam[on], box)
+            hit = np.flatnonzero(ok)
+        hits.append((s + hit // size, hit % size, res[hit], _lambda_label(lam[hit], boundary[hit]), boundary[hit]))
 
         R = res.reshape((k,) + (m,) * n)
         minima = _local_minima(R)
@@ -716,11 +723,11 @@ def _scan_grids(derivs: ProblemDerivatives, Ws: np.ndarray, seeded: np.ndarray, 
         count = np.bincount(sets, minlength=k)
         rank = np.arange(idx.size) - (np.cumsum(count) - count)[sets]
         idx = idx[rank % ((count + 255) // 256)[sets] == 0]
-        picks.append((s + idx // size, idx % size, res[idx]))
+        picks.append((s + idx // size, idx % size, ok[idx]))
 
     sid, at, res, lam, boundary = (np.concatenate(c) for c in zip(*hits))
-    seed_set, seed_at, seed_res = (np.concatenate(c) for c in zip(*picks))
-    return (sid, X[:, at].T, res, lam, boundary), seed_set, X[:, seed_at].T, seed_res <= ACCEPT_RESIDUAL
+    seed_set, seed_at, seed_direct = (np.concatenate(c) for c in zip(*picks))
+    return (sid, X[:, at].T, res, lam, boundary), seed_set, X[:, seed_at].T, seed_direct
 
 
 def _finish_sets(ws: list, found: list, center: np.ndarray, grid: GridSpec, warns: list, empty: list) -> list:
@@ -891,9 +898,8 @@ def aubin_probe(
     """
     if spec.n > 2 or spec.d > 2:
         raise DimensionMismatch("the probe supports n <= 2 and d <= 2")
-    _check_dims(spec, point.x, point.w)
+    x_center, w_bar = _point_arrays(spec, point.x, point.w)
     derivs = problem_derivatives(spec)
-    x_center, w_bar = point.arrays()
     rho_u = cfg.rho_u if cfg.rho_u is not None else grid.r_x / 2.0
     # The distance polish only needs quadratic-convergent corrections.
     polish_grid = dataclasses.replace(grid, newton_cap=min(grid.newton_cap, 10))
@@ -963,23 +969,14 @@ def aubin_probe(
             baseline = float(np.median(significant)) if significant else None
 
         worst, worst_pair = None, None
-        if peaks:
-            worst, base, pert, x_point, distance = max(peaks, key=lambda p: p[0])
-            worst_pair = {
-                "w_base": [float(v) for v in pts[base]],
-                "w_perturbed": [float(v) for v in pts[pert]],
-                "x_point": [float(v) for v in x_point],
-                "distance": distance,
-                "ratio": worst,
-            }
-        elif events:
-            base, pert = events[0]
-            worst_pair = {
-                "w_base": [float(v) for v in pts[base]],
-                "w_perturbed": [float(v) for v in pts[pert]],
-                "event": "empty_base_set",
-                "ratio": None,
-            }
+        if peaks or events:
+            if peaks:
+                worst, base, pert, x_point, distance = max(peaks, key=lambda p: p[0])
+                about = {"x_point": [float(v) for v in x_point], "distance": distance}
+            else:
+                (base, pert), about = events[0], {"event": "empty_base_set"}
+            worst_pair = {"w_base": [float(v) for v in pts[base]], "w_perturbed": [float(v) for v in pts[pert]]}
+            worst_pair.update(about, ratio=worst)
         levels.append(LevelStats(delta, len(pairs), len(peaks), worst, len(events), worst_pair))
 
     flag, reason = _flag(levels, baseline, cfg, unresolved)

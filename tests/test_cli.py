@@ -590,7 +590,7 @@ class TestProbeCommand:
         "cubic_pitchfork": "7e9faa0ff1e9c1f6b1c1a53385b79369589354a95b072811cdb4ac0ce44137dc",
         "halfline_bilinear": "ecf108b7c327900838fc6540b9117c21f3892e821b7e1e23b0dafa87da1b4af8",
         "halfline_quadratic": "a11e1e4960779365dc739d7f8ec1b4607d1b8848511a176edc1d4cbed4fe962d",
-        "moving_plane": "94c3d3918877ddd86496e37fdda69d182cbdc775f4b1afe2366bb12a4fae682d",
+        "moving_plane": "7b3bdd29b13713f89d89f0f97c77031f217bfde84954f69a4ee70a649b55d9ce",
         "product_constraint": "549895cc244448596dec3558f0bb45965dc24ce732de1aa54237aac7e4ffebd6",
         "quartic_cuberoot": "55a01c20811e6ce8fa51722340c8c75306c992bccfe9f6a718b5ae31327f55ee",
     }

@@ -1,5 +1,6 @@
 """numpy is the package's only runtime dependency: every other module it
-imports comes with Python.  And the package knows no shipped problem."""
+imports comes with Python.  The package knows no shipped problem.  And the
+oracle's acceptance bar is read in one place."""
 
 import ast
 import pathlib
@@ -40,3 +41,21 @@ def test_no_module_names_a_fixture():
         if stem in path.read_text()
     }
     assert not named
+
+
+def _readers(tree: ast.AST, name: str, scope: str = "<module>"):
+    """The innermost function around each load of ``name``, by name."""
+    for node in ast.iter_child_nodes(tree):
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
+            yield scope
+        yield from _readers(node, name, inner)
+
+
+def test_one_function_reads_the_acceptance_bar():
+    # The acceptance rule `_stationary` takes its bar from `_acceptance_box`,
+    # and every other site that decides or encloses acceptance calls them,
+    # so no second copy of the rule can compare against the bar.
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    readers = set(_readers(tree, "ACCEPT_RESIDUAL"))
+    assert readers and readers <= {"_stationary", "_acceptance_box"}

@@ -13,8 +13,8 @@ import pytest
 from aubincheck import oracle
 from aubincheck.calculus import INTERIOR, EvalPoint, ToleranceConfig, problem_derivatives
 from aubincheck.conditions import MODE_EXTENDED, MODE_STRICT, verdict
-from aubincheck.errors import DimensionMismatch, GridTooCoarse, InputError
-from aubincheck.expr import ProblemSpec, parse
+from aubincheck.errors import DimensionMismatch, DomainError, GridTooCoarse, InputError
+from aubincheck.expr import ProblemSpec, evaluate, parse
 from aubincheck.oracle import (
     ACCEPT_RESIDUAL,
     GridSpec,
@@ -151,6 +151,23 @@ class TestSampleStationarySet:
                 s = sample_stationary_set(pf.spec, w + shift, pf.grid, TOL, center=x)
                 for pt in s.points:
                     assert kkt_residual(pf.spec, pt, w + shift, TOL) <= ACCEPT_RESIDUAL
+        # At w = 1e-8 every grid point of moving_plane with |x1| <= 0.46 has
+        # a first-order residual under the bar, and |F| up to ~1e-8 keeps it
+        # labelled boundary; only (0, w) solves F = 0 within the bar.
+        pf = problems["moving_plane"]
+        s = sample_stationary_set(pf.spec, [1e-8], pf.grid, TOL, center=[0.0, 0.0])
+        assert s.branches == ("boundary",)
+        assert abs(evaluate(pf.spec.F, s.points[0], [1e-8])) <= ACCEPT_RESIDUAL
+        assert s.points[0] == pytest.approx([0.0, 1e-8], abs=1e-12)
+
+    def test_no_point_on_a_certified_empty_branch(self):
+        # F lies in [1.2e-9, 1.2e-8] on the box: within tau_act of 0, so every
+        # grid point is labelled boundary with residual 0, but |F| exceeds the
+        # bar, and the certificate proves both branches empty.
+        spec = ProblemSpec(1, 1, parse("-x1 + 0*w1", 1, 1), parse("0.0000000065 + 0.0000000105*x1", 1, 1))
+        s = sample_stationary_set(spec, [0.0], GridSpec(), TOL)
+        assert s.certified_empty == ("interior", "boundary")
+        assert s.is_empty
 
     def test_reference_point_recovered(self, problems):
         # x itself reappears in the sample at the reference parameter.
@@ -164,8 +181,6 @@ class TestSampleStationarySet:
 
     def test_boundary_refinement_soundness(self, problems):
         pf = problems["circle_boundary"]
-        from aubincheck.expr import evaluate
-
         s = sample_stationary_set(pf.spec, [0.93], pf.grid, TOL, center=[1.0])
         assert len(s) == 1 and s.branches[0] == "boundary"
         assert abs(evaluate(pf.spec.F, s.points[0], [0.93])) <= 1e-9
@@ -354,6 +369,28 @@ class TestEmptyBranchCertificate:
         assert branch not in inside.certified_empty
         assert outside.is_empty and outside.certified_empty == ("interior", "boundary")
 
+    @pytest.mark.parametrize("name", PROBEABLE)
+    def test_no_point_solves_a_certified_system(self, problems, name):
+        # Stated per branch system, not per label: an interior root within
+        # tau_act of F = 0 is labelled boundary.  Every sampled point solves
+        # some branch system at its parameter, each equation within the bar
+        # (the boundary one at the point's lam), and none that the
+        # certificate proves empty there.
+        pf = problems[name]
+        derivs = problem_derivatives(pf.spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GridTooCoarse)
+            r = aubin_probe(pf.spec, pf.point, pf.probe, pf.grid, pf.tolerances, keep_samples=True)
+        for s in r.samples:
+            W = np.repeat(np.array([s.w]).T, len(s), axis=1)
+            Z = {"interior": s.points, "boundary": np.column_stack([s.points, s.lambdas])}
+            solves = {
+                b: np.all(np.abs(derivs.eval_rows(derivs.newton_systems[b][0], z.T, W)) <= ACCEPT_RESIDUAL, axis=0)
+                for b, z in Z.items()
+            }
+            assert not any(np.any(solves[b]) for b in s.certified_empty), s.w
+            assert np.all(solves["interior"] | solves["boundary"]), s.w
+
     @pytest.mark.parametrize(
         "name",
         ["bilinear_ball", "circle_boundary", "cubic_pitchfork", "halfline_bilinear", "product_constraint", "quartic_cuberoot"],
@@ -461,21 +498,40 @@ class TestAubinProbe:
         got = oracle._flag(levels, doc["baseline_median"], cfg, False)
         assert got == (doc["flag"], doc["flag_reason"])
 
-    # n = 2, d = 1: too few x entries, too many w entries, too many x entries.
-    @pytest.mark.parametrize("x, w", [([0.0], [0.0]), ([0.0, 0.0], [0.0, 0.0]), ([0.0, 0.0, 0.0], [0.0])])
+    # n = 2, d = 1: too few x entries, too many w entries, too many x
+    # entries; then a nan x and an infinite w, which no call samples.
+    @pytest.mark.parametrize(
+        "x, w",
+        [([0.0], [0.0]), ([0.0, 0.0], [0.0, 0.0]), ([0.0, 0.0, 0.0], [0.0]), ([math.nan, 0.0], [0.0]), ([0.0, 0.0], [math.inf])],
+    )
     @pytest.mark.parametrize(
         "call",
         [
             lambda spec, x, w: kkt_residual(spec, x, w, TOL),
             lambda spec, x, w: aubin_probe(spec, EvalPoint(x, w), ProbeConfig(levels=2, samples=8)),
+            lambda spec, x, w: sample_stationary_set(spec, w, GridSpec(), TOL, center=x),
         ],
-        ids=["kkt_residual", "aubin_probe"],
+        ids=["kkt_residual", "aubin_probe", "sample_stationary_set"],
     )
     def test_point_dimensions(self, call, x, w):
         spec = ProblemSpec(2, 1, parse("x1^2 + x2^2 - w1*x1", 2, 1), parse("x1 - 5", 2, 1))
-        expected = f"point has dimensions ({len(x)}, {len(w)}), problem expects (2, 1)"
-        with pytest.raises(DimensionMismatch, match=re.escape(expected)):
+        if (len(x), len(w)) == (2, 1):
+            error, expected = DomainError, "the point has a non-finite entry"
+        else:
+            error, expected = DimensionMismatch, f"point has dimensions ({len(x)}, {len(w)}), problem expects (2, 1)"
+        with pytest.raises(error, match=re.escape(expected)):
             call(spec, x, w)
+
+    @pytest.mark.parametrize(
+        "call",
+        [kkt_residual, lambda spec, x, w: sample_stationary_set(spec, w, center=x)],
+        ids=["kkt_residual", "sample_stationary_set"],
+    )
+    def test_nested_parameter(self, call):
+        # A point is a pair of vectors; a nested w is not flattened.
+        spec = ProblemSpec(2, 1, parse("x1^2 + x2^2 - w1*x1", 2, 1), parse("x1 - 5", 2, 1))
+        with pytest.raises(DimensionMismatch, match=re.escape("point has shapes (2,) and (1, 1), expected vectors")):
+            call(spec, [0.0, 0.0], [[0.0]])
 
     def test_levels_bound(self):
         assert ProbeConfig(levels=oracle._MAX_LEVELS).levels == 64

@@ -1,5 +1,5 @@
-"""Property tests of the oracle's grid helpers, Newton step, refiner and
-flag rule."""
+"""Property tests of the oracle's grid helpers, Newton step, refiner,
+acceptance rule and flag rule."""
 
 import dataclasses
 import warnings
@@ -15,12 +15,15 @@ from aubincheck.calculus import ToleranceConfig, problem_derivatives  # noqa: E4
 from aubincheck.expr import ProblemSpec, parse  # noqa: E402
 from aubincheck.oracle import (  # noqa: E402
     _DET_TAU,
+    ACCEPT_RESIDUAL,
     GridSpec,
     LevelStats,
     ProbeConfig,
+    _acceptance_box,
     _flag,
     _local_minima,
     _pinv_step,
+    _stationary,
     _with_neighbors,
 )
 
@@ -245,7 +248,7 @@ _CHAIN = [(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 0, 3)] * 4
 @example(_stream(oracle._CHUNK_ROWS, 2, [0.0, 0.25], [0.0, 1e-3], [(0, 0, 0), (1, 1, 2), (0, 1, 0), (1, 1, 2)]))
 def test_refiner_stream_equals_each_row_alone(stream):
     """Every row of a run, merged rows included, ends bit for bit as it does
-    refined by itself: points, lam and the converged flag."""
+    refined by itself: points, lam and ||G||."""
     chunk, cap, starts, params, rows = stream
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_CHUNK_ROWS", chunk)
@@ -267,6 +270,66 @@ def test_refiner_stream_equals_each_row_alone(stream):
                     alone = refiner.run(seeds[r : r + 1], W[:, r : r + 1], branch, np.arange(1))
                     for a, b in zip(alone, batch):
                         assert a[0].tobytes() == b[r].tobytes(), (branch, r, rows[r])
+
+
+# ---------------------------------------------------------------------------
+# The acceptance rule
+# ---------------------------------------------------------------------------
+
+@st.composite
+def acceptance_cases(draw):
+    """(res, pts, lams, box): one point of n = 1 or 2 coordinates near the
+    box of a drawn grid, with a residual that may be nan or infinite."""
+    n = draw(st.sampled_from([1, 2]))
+    coord = st.floats(-2.0, 2.0, allow_subnormal=False)
+    center = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+    grid = GridSpec(r_x=draw(st.floats(1e-3, 1.0)), points_per_axis=draw(st.sampled_from([3, 5, 61, 201])))
+    box = _acceptance_box(center, grid, ToleranceConfig(tau_zero=draw(st.floats(1e-12, 1e-4))))
+    pts = np.array([draw(st.lists(coord, min_size=n, max_size=n))])
+    lams = np.array([draw(st.floats(-1e-3, 1e3, allow_subnormal=False))])
+    res = np.array([draw(st.sampled_from([0.0, ACCEPT_RESIDUAL, np.nan, np.inf]) | st.floats(0.0, 1e-8))])
+    return res, pts, lams, box
+
+
+def test_acceptance_box():
+    grid, tol = GridSpec(r_x=0.5, points_per_axis=201), ToleranceConfig(tau_zero=1e-10)
+    center, reach, bar, lam_floor = _acceptance_box(np.array([0.25]), grid, tol)
+    assert (center.tolist(), reach, bar, lam_floor) == ([0.25], 0.5 + 0.005, ACCEPT_RESIDUAL, -1e-10)
+
+
+@given(acceptance_cases())
+def test_each_bound_is_inclusive(case):
+    """A point exactly at the bar, the reach and lam = -tau_zero is
+    accepted, and moving any one of them outward by one ulp rejects it."""
+    _, pts, _, (center, _, bar, lam_floor) = case
+    reach = float(np.max(np.abs(pts - center)))
+    box = (center, reach, bar, lam_floor)
+    at = (np.array([bar]), pts, np.array([lam_floor]), box)
+    assert _stationary(*at).tolist() == [True]
+    assert _stationary(np.nextafter(at[0], np.inf), *at[1:]).tolist() == [False]
+    assert _stationary(*at[:2], np.nextafter(at[2], -np.inf), box).tolist() == [False]
+    assert _stationary(*at[:3], (center, np.nextafter(reach, -np.inf), bar, lam_floor)).tolist() == [False]
+
+
+# A point well inside the box of GridSpec() around 0, at half the bar.
+INSIDE = (np.array([5e-10]), np.array([[0.1]]), np.array([0.0]), (np.array([0.0]), 0.505, ACCEPT_RESIDUAL, -1e-8))
+
+
+@given(acceptance_cases(), st.sampled_from([np.nan, np.inf]))
+@example(INSIDE, np.nan)
+def test_non_finite_residuals_fail(case, bad):
+    _, pts, lams, box = case
+    assert _stationary(np.array([bad]), pts, lams, box).tolist() == [False]
+
+
+@given(acceptance_cases(), st.floats(0.0, 1.0))
+@example(INSIDE, 0.5)
+def test_monotone_in_the_residual(case, shrink):
+    """A point accepted at one residual is accepted at every smaller one."""
+    res, pts, lams, box = case
+    if _stationary(res, pts, lams, box)[0]:
+        assert _stationary(res * shrink, pts, lams, box)[0]
+        assert _stationary(np.zeros(1), pts, lams, box)[0]
 
 
 # ---------------------------------------------------------------------------
