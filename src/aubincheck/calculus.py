@@ -14,6 +14,7 @@ splits the analysis into the nondegenerate (lambda > 0) and degenerate
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -78,25 +79,45 @@ class ToleranceConfig:
 
 @dataclass(frozen=True)
 class EvalPoint:
-    """Reference pair (x, w); dimensions must match the problem."""
+    """Reference pair (x, w) of flat vectors of finite reals, checked by
+    ``_check_pair`` when built; its sizes are checked against a problem
+    where the point is used."""
 
     x: tuple
     w: tuple
 
     def __init__(self, x, w):
-        object.__setattr__(self, "x", tuple(float(v) for v in x))
-        object.__setattr__(self, "w", tuple(float(v) for v in w))
+        x, w = _check_pair(x, w)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "w", w)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return np.array(self.x), np.array(self.w)
 
 
-def _check_dims(spec: ex.ProblemSpec, x, w) -> None:
-    """Raise DimensionMismatch unless x has spec.n entries and w spec.d."""
-    if len(x) != spec.n or len(w) != spec.d:
-        raise DimensionMismatch(
-            f"point has dimensions ({len(x)}, {len(w)}), problem expects ({spec.n}, {spec.d})"
-        )
+def _check_pair(x, w, n: int | None = None, d: int | None = None, what: str = "point") -> tuple:
+    """(x, w) as two tuples of floats: the one test of every pair in
+    R^n x R^d, a point (x, w) or a coderivative query (x', w'), named
+    ``what`` in the messages.
+
+    Raises DimensionMismatch when x or w is not a flat vector, or when n is
+    given and their sizes are not (n, d), and DomainError when an entry is
+    nan or infinite.  Plain Python: n and d are small, and numpy's
+    per-call overhead would dominate.
+    """
+    try:
+        x, w = tuple(x), tuple(w)
+        if any(getattr(v, "ndim", 0) for v in x + w):
+            raise TypeError
+        x, w = tuple(map(float, x)), tuple(map(float, w))
+    except TypeError:
+        xs, ws = (np.asarray(v, dtype=object).shape for v in (x, w))
+        raise DimensionMismatch(f"{what} has shapes {xs} and {ws}, expected vectors") from None
+    if n is not None and (len(x) != n or len(w) != d):
+        raise DimensionMismatch(f"{what} has dimensions ({len(x)}, {len(w)}), problem expects ({n}, {d})")
+    if not all(map(math.isfinite, x + w)):
+        raise DomainError(f"the {what} has a non-finite entry")
+    return x, w
 
 
 class Block(NamedTuple):
@@ -200,9 +221,8 @@ class ProblemDerivatives:
     # -- evaluation at the reference point ------------------------------------
 
     def bundle(self, point: EvalPoint) -> DerivativeBundle:
-        x, w = point.x, point.w
         n, d = self.spec.n, self.spec.d
-        _check_dims(self.spec, x, w)
+        x, w = _check_pair(point.x, point.w, n, d)
         values = np.array(ex.evaluate(self.bundle_tape, x, w))
         tapes = [getattr(self, blk.tape) for blk in BLOCKS]
         blocks = {}

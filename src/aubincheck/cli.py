@@ -116,9 +116,7 @@ def cmd_probe(args) -> int:
     # The report's warnings go to stderr as plain lines, once each.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", GridTooCoarse)
-        report = aubin_probe(
-            pf.spec, pf.point, pf.probe, pf.grid, pf.tolerances, keep_samples=args.csv is not None
-        )
+        report = aubin_probe(pf.spec, pf.point, pf.probe, pf.grid, pf.tolerances)
     for msg in report.warnings:
         print(f"warning: {msg}", file=sys.stderr)
     if args.csv is not None:

@@ -44,6 +44,7 @@ import numpy as np
 from .calculus import (
     BOUNDARY,
     NONDEGENERATE,
+    _check_pair,
     _projected_multiplier as _projected,
     CaseTag,
     DerivativeBundle,
@@ -55,7 +56,7 @@ from .calculus import (
     lagrange_multiplier,
     verify_stationarity,
 )
-from .errors import DimensionMismatch, NotStationary
+from .errors import NotStationary
 from .expr import ProblemSpec
 from .kernel import (
     NONNEG,
@@ -358,16 +359,11 @@ def coderivative_membership(
     under its own tolerances.  The query is decided scaled by 2^-k, so that
     its largest entry lies in [1, 2), and the witness is scaled back by 2^k:
     D*S(w|x) is positively homogeneous, and no answer depends on the
-    query's scale.
+    query's scale.  A query (x', w') passes the test of a point
+    (``_check_pair``): DimensionMismatch or DomainError otherwise.
     """
     b = v.bundle
-    xprime = np.asarray(xprime, dtype=float).ravel()
-    wprime = np.asarray(wprime, dtype=float).ravel()
-    if xprime.shape[0] != b.n or wprime.shape[0] != b.d:
-        raise DimensionMismatch(
-            f"query has dimensions ({xprime.shape[0]}, {wprime.shape[0]}), "
-            f"problem expects ({b.n}, {b.d})"
-        )
+    xprime, wprime = map(np.array, _check_pair(xprime, wprime, b.n, b.d, "query"))
     desc = v.table
     # At that scale tau_stat (1 + ||rhs||) is a relative tolerance and
     # ||rhs||^2 cannot overflow; scaling by 2^k is exact unless it underflows.

@@ -45,11 +45,11 @@ from .calculus import (
     ProblemDerivatives,
     ToleranceConfig,
     _activity_threshold,
-    _check_dims,
+    _check_pair,
     _finite_positive,
     problem_derivatives,
 )
-from .errors import DimensionMismatch, DomainError, GridTooCoarse, InputError
+from .errors import DimensionMismatch, GridTooCoarse, InputError
 from .expr import ProblemSpec, eval_interval
 
 __all__ = [
@@ -190,15 +190,15 @@ def _multiplier(g: np.ndarray, gF: np.ndarray):
     Callers mask the columns where it is undefined or not finite."""
     gg = np.sum(gF * gF, axis=0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return np.maximum(0.0, -np.sum(gF * g, axis=0) / gg), gg
+        return np.maximum(-np.sum(gF * g, axis=0) / gg, 0.0), gg
 
 
 def _kkt_batch(derivs: ProblemDerivatives, X: np.ndarray, W: np.ndarray, tol: ToleranceConfig):
     """Vectorized first-order residual over a batch of (x, w) columns.
 
     X is (n, N) and W is (d, N).  Returns (residuals, lambdas,
-    boundary_mask).  Infeasible points get +inf; non-finite evaluations are
-    treated as out of domain.
+    boundary_mask, F).  Infeasible points get +inf; non-finite evaluations
+    are treated as out of domain.
     """
     N = X.shape[1]
     F = derivs.eval_rows(derivs.F_row, X, W)[0]
@@ -220,19 +220,7 @@ def _kkt_batch(derivs: ProblemDerivatives, X: np.ndarray, W: np.ndarray, tol: To
         if np.any(ok):
             res[ok] = np.linalg.norm(g[:, ok] + lam_star[ok] * gF[:, ok], axis=0)
             lam[ok] = lam_star[ok]
-    return res, lam, boundary
-
-
-def _point_arrays(spec: ProblemSpec, x, w) -> tuple:
-    """x and w as float vectors; raises DimensionMismatch unless they hold
-    spec.n and spec.d numbers, and DomainError unless every one is finite."""
-    x, w = np.asarray(x, dtype=float), np.asarray(w, dtype=float)
-    if x.ndim != 1 or w.ndim != 1:
-        raise DimensionMismatch(f"point has shapes {x.shape} and {w.shape}, expected vectors")
-    _check_dims(spec, x, w)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
-        raise DomainError("the point has a non-finite entry")
-    return x, w
+    return res, lam, boundary, F
 
 
 def kkt_residual(spec: ProblemSpec, x, w, tol: ToleranceConfig = ToleranceConfig()) -> float:
@@ -245,9 +233,8 @@ def kkt_residual(spec: ProblemSpec, x, w, tol: ToleranceConfig = ToleranceConfig
     not a pair of finite vectors of the problem's sizes raises
     DimensionMismatch or DomainError, here and in the probe.
     """
-    x, w = _point_arrays(spec, x, w)
-    res, _, _ = _kkt_batch(problem_derivatives(spec), x[:, None], w[:, None], tol)
-    return float(res[0])
+    x, w = map(np.array, _check_pair(x, w, spec.n, spec.d))
+    return float(_kkt_batch(problem_derivatives(spec), x[:, None], w[:, None], tol)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +272,7 @@ def _stationary(res: np.ndarray, pts: np.ndarray, lams: np.ndarray, box: tuple) 
 def _lambda_label(lams: np.ndarray, boundary: np.ndarray) -> np.ndarray:
     """The multiplier an accepted point reports: max(lam, 0) on the
     boundary and 0 in the interior."""
-    return np.where(boundary, np.maximum(0.0, lams), 0.0)
+    return np.where(boundary, np.maximum(lams, 0.0), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +561,7 @@ def _accepted(refiner: _Refiner, seeds: np.ndarray, W: np.ndarray, skip: dict):
         res, bmask = np.empty(rows.size), np.empty(rows.size, dtype=bool)
         for s in range(0, rows.size, _CHUNK_ROWS):
             part = slice(s, s + _CHUNK_ROWS)
-            res[part], _, bmask[part] = _kkt_batch(refiner.derivs, pts[part].T, W[:, rows[part]], refiner.tol)
+            res[part], _, bmask[part], _ = _kkt_batch(refiner.derivs, pts[part].T, W[:, rows[part]], refiner.tol)
         ok = _stationary(res, pts, lams, box)
         yield rows[ok], pts[ok], res[ok], _lambda_label(lams[ok], bmask[ok]), bmask[ok]
 
@@ -642,7 +629,7 @@ def sample_stationary_set(
     """
     if spec.n > 2:
         raise DimensionMismatch("stationary set sampling supports n <= 2")
-    center, w = _point_arrays(spec, np.zeros(spec.n) if center is None else center, w)
+    center, w = map(np.array, _check_pair((0.0,) * spec.n if center is None else center, w, spec.n, spec.d))
     return _sample_sets(problem_derivatives(spec), [w], center, grid, tol)[0]
 
 
@@ -702,13 +689,12 @@ def _scan_grids(derivs: ProblemDerivatives, Ws: np.ndarray, seeded: np.ndarray, 
     for s in range(0, Ws.shape[1], per):
         k = min(per, Ws.shape[1] - s)
         Xk, Wk = np.tile(X, k), np.repeat(Ws[:, s : s + k], size, axis=1)
-        res, lam, boundary = _kkt_batch(derivs, Xk, Wk, tol)
+        res, lam, boundary, F = _kkt_batch(derivs, Xk, Wk, tol)
         ok = _stationary(res, Xk.T, lam, box)
         hit = np.flatnonzero(ok)
         on = hit[boundary[hit]]
         if on.size:
-            F = derivs.eval_rows(derivs.F_row, Xk[:, on], Wk[:, on])[0]
-            ok[on] = _stationary(np.abs(F), Xk[:, on].T, lam[on], box)
+            ok[on] = _stationary(np.abs(F[on]), Xk[:, on].T, lam[on], box)
             hit = np.flatnonzero(ok)
         hits.append((s + hit // size, hit % size, res[hit], _lambda_label(lam[hit], boundary[hit]), boundary[hit]))
 
@@ -782,8 +768,8 @@ class ProbeReport:
     """Evidence about the Lipschitz-like property gathered by sampling.
 
     ``flag`` and ``flag_reason`` come from ``_flag``, which states the flag
-    semantics.  ``samples`` (with ``keep_samples``) lists every sampled
-    stationary set in sampling order, and ``warnings`` follows it.
+    semantics.  ``samples`` lists every sampled stationary set in sampling
+    order, and ``warnings`` follows it.
     """
 
     flag: str
@@ -797,7 +783,7 @@ class ProbeReport:
     blowup: float
     ratio_floor: float
     warnings: tuple = ()
-    samples: list | None = None
+    samples: list = dataclasses.field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -882,7 +868,6 @@ def aubin_probe(
     cfg: ProbeConfig = ProbeConfig(),
     grid: GridSpec = GridSpec(),
     tol: ToleranceConfig = ToleranceConfig(),
-    keep_samples: bool = False,
 ) -> ProbeReport:
     """Empirically probe the Lipschitz-like inclusion around (w, x).
 
@@ -898,7 +883,7 @@ def aubin_probe(
     """
     if spec.n > 2 or spec.d > 2:
         raise DimensionMismatch("the probe supports n <= 2 and d <= 2")
-    x_center, w_bar = _point_arrays(spec, point.x, point.w)
+    x_center, w_bar = map(np.array, _check_pair(point.x, point.w, spec.n, spec.d))
     derivs = problem_derivatives(spec)
     rho_u = cfg.rho_u if cfg.rho_u is not None else grid.r_x / 2.0
     # The distance polish only needs quadratic-convergent corrections.
@@ -993,7 +978,7 @@ def aubin_probe(
         blowup=cfg.blowup,
         ratio_floor=cfg.ratio_floor,
         warnings=tuple(dict.fromkeys(msg for S in sets for msg in S.warnings)),
-        samples=sets if keep_samples else None,
+        samples=sets,
     )
 
 

@@ -28,7 +28,7 @@ import math
 import re
 from dataclasses import dataclass, fields
 
-from .calculus import EvalPoint, ToleranceConfig, _check_dims
+from .calculus import EvalPoint, ToleranceConfig, _check_pair
 from .errors import InputError
 from .expr import _NUM, ProblemSpec, parse
 from .oracle import GridSpec, ProbeConfig
@@ -133,8 +133,7 @@ def load_problem(path: str, overrides: dict | None = None) -> ProblemFile:
 
     x = _parse_list(cp["point"]["x"], "x")
     w = _parse_list(cp["point"]["w"], "w")
-    _check_dims(spec, x, w)
-    point = EvalPoint(x, w)
+    point = EvalPoint(*_check_pair(x, w, n, d))
     note = _unquote(cp["problem"]["note"], "note") if "note" in cp["problem"] else None
 
     tol_values, probe_values = (

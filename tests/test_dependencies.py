@@ -1,6 +1,7 @@
 """numpy is the package's only runtime dependency: every other module it
-imports comes with Python.  The package knows no shipped problem.  And the
-oracle's acceptance bar is read in one place."""
+imports comes with Python.  The package knows no shipped problem.  The
+oracle's acceptance bar is read in one place, and one function checks
+every pair (x, w)."""
 
 import ast
 import pathlib
@@ -43,13 +44,18 @@ def test_no_module_names_a_fixture():
     assert not named
 
 
-def _readers(tree: ast.AST, name: str, scope: str = "<module>"):
-    """The innermost function around each load of ``name``, by name."""
+def _scopes(tree: ast.AST, hit, scope: str = "<module>"):
+    """The innermost function around each node where ``hit`` holds, by name."""
     for node in ast.iter_child_nodes(tree):
         inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
-        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
+        if hit(node):
             yield scope
-        yield from _readers(node, name, inner)
+        yield from _scopes(node, hit, inner)
+
+
+def _readers(tree: ast.AST, name: str):
+    """The innermost function around each load of ``name``, by name."""
+    return _scopes(tree, lambda node: isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load))
 
 
 def test_one_function_reads_the_acceptance_bar():
@@ -59,3 +65,19 @@ def test_one_function_reads_the_acceptance_bar():
     tree = ast.parse((PACKAGE / "oracle.py").read_text())
     readers = set(_readers(tree, "ACCEPT_RESIDUAL"))
     assert readers and readers <= {"_stationary", "_acceptance_box"}
+
+
+def test_one_function_checks_a_pair():
+    # Points and membership queries pass `_check_pair`, so no second copy of
+    # its size or finiteness test can build its messages.
+    def builds(node):
+        return isinstance(node, ast.Constant) and isinstance(node.value, str) and (
+            "problem expects" in node.value or "non-finite entry" in node.value
+        )
+
+    builders = {
+        (path.name, scope)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope in _scopes(ast.parse(path.read_text()), builds)
+    }
+    assert builders == {("calculus.py", "_check_pair")}

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from aubincheck import oracle
-from aubincheck.calculus import INTERIOR, EvalPoint, ToleranceConfig, problem_derivatives
-from aubincheck.conditions import MODE_EXTENDED, MODE_STRICT, verdict
+from aubincheck.calculus import INTERIOR, EvalPoint, ToleranceConfig, derivative_bundle, problem_derivatives
+from aubincheck.conditions import MODE_EXTENDED, MODE_STRICT, coderivative_membership, verdict
 from aubincheck.errors import DimensionMismatch, DomainError, GridTooCoarse, InputError
 from aubincheck.expr import ProblemSpec, evaluate, parse
 from aubincheck.oracle import (
@@ -209,6 +209,18 @@ class TestSampleStationarySet:
         assert oracle._build_grid(np.zeros(1), GridSpec(points_per_axis=999999), 1).shape == (1, 999999)
 
 
+_probes = {}
+
+
+def _fixture_probe(pf):
+    """The probe report of a fixture at its own settings, computed once."""
+    if pf.path not in _probes:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GridTooCoarse)
+            _probes[pf.path] = aubin_probe(pf.spec, pf.point, pf.probe, pf.grid, pf.tolerances)
+    return _probes[pf.path]
+
+
 def record_scan_widths(monkeypatch) -> list:
     """The number of columns of every ``_kkt_batch`` call from now on."""
     widths = []
@@ -378,10 +390,7 @@ class TestEmptyBranchCertificate:
         # certificate proves empty there.
         pf = problems[name]
         derivs = problem_derivatives(pf.spec)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", GridTooCoarse)
-            r = aubin_probe(pf.spec, pf.point, pf.probe, pf.grid, pf.tolerances, keep_samples=True)
-        for s in r.samples:
+        for s in _fixture_probe(pf).samples:
             W = np.repeat(np.array([s.w]).T, len(s), axis=1)
             Z = {"interior": s.points, "boundary": np.column_stack([s.points, s.lambdas])}
             solves = {
@@ -390,6 +399,13 @@ class TestEmptyBranchCertificate:
             }
             assert not any(np.any(solves[b]) for b in s.certified_empty), s.w
             assert np.all(solves["interior"] | solves["boundary"]), s.w
+
+    @pytest.mark.parametrize("name", PROBEABLE)
+    def test_no_multiplier_is_negative_zero(self, problems, name):
+        # A boundary point where lam ties at 0 reports +0.0, so the CSV
+        # never prints -0.0.
+        for s in _fixture_probe(problems[name]).samples:
+            assert not np.any(np.signbit(s.lambdas)), s.w
 
     @pytest.mark.parametrize(
         "name",
@@ -408,7 +424,7 @@ class TestEmptyBranchCertificate:
             return out
 
         def probe():
-            r = aubin_probe(pf.spec, pf.point, pf.probe, pf.grid, pf.tolerances, keep_samples=True)
+            r = aubin_probe(pf.spec, pf.point, pf.probe, pf.grid, pf.tolerances)
             write_samples_csv(r.samples, tmp_path / "samples.csv", pf.spec.n, pf.spec.d)
             doc = r.to_dict()
             del doc["warnings"]
@@ -498,40 +514,54 @@ class TestAubinProbe:
         got = oracle._flag(levels, doc["baseline_median"], cfg, False)
         assert got == (doc["flag"], doc["flag_reason"])
 
+    # Every entry point that takes a pair in R^n x R^d: a point (x, w), or
+    # the query (x', w') of a membership test at the stationary point
+    # ((0, 0), 0) of the problem below.  Each is (call, the pair's name in
+    # the messages); a point alone has no problem, so EvalPoint checks
+    # shapes and entries but not sizes.
+    ENTRY_POINTS = {
+        "kkt_residual": (lambda spec, x, w: kkt_residual(spec, x, w, TOL), "point"),
+        "aubin_probe": (lambda spec, x, w: aubin_probe(spec, EvalPoint(x, w), ProbeConfig(levels=2, samples=8)), "point"),
+        "sample_stationary_set": (lambda spec, x, w: sample_stationary_set(spec, w, GridSpec(), TOL, center=x), "point"),
+        "EvalPoint": (lambda spec, x, w: EvalPoint(x, w), "point"),
+        "verdict": (lambda spec, x, w: verdict(spec, EvalPoint(x, w), TOL), "point"),
+        "derivative_bundle": (lambda spec, x, w: derivative_bundle(spec, EvalPoint(x, w)), "point"),
+        "coderivative_membership": (
+            lambda spec, x, w: coderivative_membership(verdict(spec, EvalPoint([0.0, 0.0], [0.0]), TOL), x, w, TOL),
+            "query",
+        ),
+    }
+
     # n = 2, d = 1: too few x entries, too many w entries, too many x
-    # entries; then a nan x and an infinite w, which no call samples.
+    # entries; then a nan x and an infinite w, which no call samples,
+    # decides on or builds a point from.
     @pytest.mark.parametrize(
         "x, w",
         [([0.0], [0.0]), ([0.0, 0.0], [0.0, 0.0]), ([0.0, 0.0, 0.0], [0.0]), ([math.nan, 0.0], [0.0]), ([0.0, 0.0], [math.inf])],
     )
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda spec, x, w: kkt_residual(spec, x, w, TOL),
-            lambda spec, x, w: aubin_probe(spec, EvalPoint(x, w), ProbeConfig(levels=2, samples=8)),
-            lambda spec, x, w: sample_stationary_set(spec, w, GridSpec(), TOL, center=x),
-        ],
-        ids=["kkt_residual", "aubin_probe", "sample_stationary_set"],
-    )
-    def test_point_dimensions(self, call, x, w):
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_point_dimensions(self, entry, x, w):
+        call, what = self.ENTRY_POINTS[entry]
         spec = ProblemSpec(2, 1, parse("x1^2 + x2^2 - w1*x1", 2, 1), parse("x1 - 5", 2, 1))
         if (len(x), len(w)) == (2, 1):
-            error, expected = DomainError, "the point has a non-finite entry"
+            error, expected = DomainError, f"the {what} has a non-finite entry"
+        elif entry == "EvalPoint":
+            assert call(spec, x, w).x == tuple(x)
+            return
         else:
-            error, expected = DimensionMismatch, f"point has dimensions ({len(x)}, {len(w)}), problem expects (2, 1)"
+            error, expected = DimensionMismatch, f"{what} has dimensions ({len(x)}, {len(w)}), problem expects (2, 1)"
         with pytest.raises(error, match=re.escape(expected)):
             call(spec, x, w)
 
-    @pytest.mark.parametrize(
-        "call",
-        [kkt_residual, lambda spec, x, w: sample_stationary_set(spec, w, center=x)],
-        ids=["kkt_residual", "sample_stationary_set"],
-    )
-    def test_nested_parameter(self, call):
-        # A point is a pair of vectors; a nested w is not flattened.
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_nested_parameter(self, entry):
+        # A pair is two vectors; a nested w is not flattened.
+        call, what = self.ENTRY_POINTS[entry]
         spec = ProblemSpec(2, 1, parse("x1^2 + x2^2 - w1*x1", 2, 1), parse("x1 - 5", 2, 1))
-        with pytest.raises(DimensionMismatch, match=re.escape("point has shapes (2,) and (1, 1), expected vectors")):
-            call(spec, [0.0, 0.0], [[0.0]])
+        expected = f"{what} has shapes (2,) and (1, 1), expected vectors"
+        for w in ([[0.0]], np.zeros((1, 1))):
+            with pytest.raises(DimensionMismatch, match=re.escape(expected)):
+                call(spec, [0.0, 0.0], w)
 
     def test_levels_bound(self):
         assert ProbeConfig(levels=oracle._MAX_LEVELS).levels == 64
@@ -657,7 +687,7 @@ class TestOneStreamProbe:
             monkeypatch.setattr(oracle, fn_name, counting(fn_name))
         with warnings.catch_warnings(record=True) as got_warned:
             warnings.simplefilter("always")
-            got = aubin_probe(pf.spec, pf.point, cfg, pf.grid, pf.tolerances, keep_samples=True)
+            got = aubin_probe(pf.spec, pf.point, cfg, pf.grid, pf.tolerances)
         assert calls == {"_sample_sets": 1, "_set_distances": 1}
         with warnings.catch_warnings(record=True) as ref_warned:
             warnings.simplefilter("always")
@@ -764,7 +794,7 @@ class TestOverflowIsQuiet:
 class TestCsvDump:
     def test_columns_and_rows(self, problems, tmp_path):
         pf = problems["halfline_quadratic"]
-        r = aubin_probe(pf.spec, pf.point, pf.probe, pf.grid, TOL, keep_samples=True)
+        r = aubin_probe(pf.spec, pf.point, pf.probe, pf.grid, TOL)
         out = tmp_path / "samples.csv"
         write_samples_csv(r.samples, out, pf.spec.n, pf.spec.d)
         lines = out.read_text().strip().splitlines()
